@@ -1,4 +1,4 @@
-"""Step-latency benchmark: pass-pipeline ladder vs interpreter.
+"""Step-latency benchmark: interpreter vs unoptimized vs default plan.
 
 Workload: MCUNet sparse fine-tuning (the paper's on-device scenario) — the
 ``mcunet_micro`` variant under the paper's sparse-update scheme with SGD,
@@ -6,26 +6,19 @@ which is exactly what every request in ``repro.serve`` funnels through.
 Small tensors make this overhead-dominated, i.e. the regime the compiled
 plan targets: the kernels themselves are identical between backends.
 
-Configurations run side by side: the legacy interpreter, then the pass
-pipeline grown one stage at a time — ``passes="none"`` (zero-
-interpretation but unoptimized stream), ``+fuse_elementwise``,
-``+fold_scalars``, ``+precompute_frozen`` (= the default pipeline), and
-``+autotune`` (per-instruction kernel-variant selection against the
-device cost model; ``--autotune measure`` confirms with cached on-host
-microbenchmarks). Reports p50/p95 step latency, steady-state throughput,
-steady-state fresh-buffer allocations per step, and per-pass
-instruction/latency deltas, then writes ``BENCH_step_latency.json`` so
-CI can track the repo's perf trajectory.
+Three configurations run side by side: the legacy interpreter,
+``passes="none"`` (zero-interpretation but unoptimized stream), and the
+default pipeline (``precompute_frozen``). Reports p50/p95 step latency,
+steady-state throughput, steady-state fresh-buffer allocations per step,
+and the per-pass instruction/latency delta, then writes
+``BENCH_step_latency.json`` so CI can track the repo's perf trajectory.
 
 CI gates (exit non-zero on violation):
 
 * the plan-backed executor must not lose to the interpreter (throughput
-  band + dispatch overhead, as before);
-* the optimized plan must emit strictly fewer instructions than
-  ``passes="none"`` and must not allocate more in steady state;
-* the autotuned plan must actually tune (nonempty ``tuned_variants``),
-  must not grow the instruction stream, and must hold the default
-  pipeline's throughput (tolerance band for machine-load wobble).
+  band + dispatch overhead);
+* the default plan must not allocate more in steady state than
+  ``passes="none"``.
 
 Usage::
 
@@ -51,16 +44,10 @@ from repro.train import SGD
 
 from _helpers import banner
 
-#: the pipeline ladder, one stage at a time; the last two rungs are the
-#: default pipeline and the default pipeline + autotune.
+#: the pipeline ladder: the unoptimized stream, then the default pipeline
 PASS_LADDER = (
     ("none", "none"),
-    ("+fuse_elementwise", ("fuse_elementwise",)),
-    ("+fold_scalars", ("fuse_elementwise", "fold_scalars")),
-    ("+precompute_frozen",
-     ("fuse_elementwise", "fold_scalars", "precompute_frozen")),
-    ("+autotune",
-     ("fuse_elementwise", "fold_scalars", "precompute_frozen", "autotune")),
+    ("default", "default"),
 )
 
 
@@ -71,14 +58,12 @@ def build_program(batch: int):
     return forward, program
 
 
-def reconfigured(program, passes, autotune: str | None = None):
+def reconfigured(program, passes):
     """An independent lowering of ``program`` under another pass config
     (private meta so the cached plan is not shared, shared graph/state)."""
     meta = {k: v for k, v in program.meta.items()
             if k not in ("__plan__", "__plan_spec__")}
     meta["plan_passes"] = passes
-    if autotune is not None:
-        meta["autotune"] = autotune
     return dataclasses.replace(program, meta=meta)
 
 
@@ -130,32 +115,7 @@ def measure(executor: Executor, feeds, steps: int, warmup: int):
     }
 
 
-def ab_ratio(exec_a: Executor, exec_b: Executor, feeds,
-             chunks: int, chunk_steps: int) -> float:
-    """Median per-chunk throughput ratio b/a from an interleaved A/B run.
-
-    Sequential measurement of near-identical configs is dominated by
-    machine-load drift between the two runs; alternating small chunks
-    puts both executors under the same load, so the per-chunk ratio is
-    drift-free. > 1.0 means ``b`` is faster.
-    """
-    for ex in (exec_a, exec_b):
-        for _ in range(chunk_steps):
-            ex.run(feeds)
-    ratios = []
-    for _ in range(chunks):
-        walls = []
-        for ex in (exec_a, exec_b):
-            began = perf_counter()
-            for _ in range(chunk_steps):
-                ex.run(feeds)
-            walls.append(perf_counter() - began)
-        ratios.append(walls[0] / walls[1])
-    ratios.sort()
-    return ratios[len(ratios) // 2]
-
-
-def run(batch: int, steps: int, warmup: int, autotune_mode: str) -> dict:
+def run(batch: int, steps: int, warmup: int) -> dict:
     forward, program = build_program(batch)
     feeds = make_feeds(forward, program, batch)
 
@@ -166,15 +126,14 @@ def run(batch: int, steps: int, warmup: int, autotune_mode: str) -> dict:
 
     interp = measure(executor(program, "interpreter"), feeds, steps, warmup)
 
-    # Climb the pass ladder one rung at a time: each rung's delta vs the
-    # previous one is that pass's isolated contribution (instructions are
-    # deterministic; latency deltas carry measurement noise).
+    # Each rung's delta vs the previous one is the pass's contribution
+    # (instructions are deterministic; latency deltas carry measurement
+    # noise).
     ladder = []
     rung_results = {}
     rung_specs = {}
     for label, passes in PASS_LADDER:
-        tuned = autotune_mode if "autotune" in passes else None
-        prog = reconfigured(program, passes, autotune=tuned)
+        prog = reconfigured(program, passes)
         spec = prog.plan_spec()
         result = measure(executor(prog), feeds, steps, warmup)
         rung_results[label] = result
@@ -192,32 +151,17 @@ def run(batch: int, steps: int, warmup: int, autotune_mode: str) -> dict:
         ladder.append(entry)
 
     plan_none = rung_results["none"]
-    plan = rung_results["+precompute_frozen"]
-    plan_tuned = rung_results["+autotune"]
-    spec = rung_specs["+precompute_frozen"]
+    plan = rung_results["default"]
+    spec = rung_specs["default"]
     spec_none = rung_specs["none"]
-    spec_tuned = rung_specs["+autotune"]
-
-    # The autotuned-vs-default gate compares two near-identical streams,
-    # where sequential wall-clock numbers are all load drift: re-measure
-    # that pair interleaved.
-    default_prog = reconfigured(program, PASS_LADDER[-2][1])
-    tuned_prog = reconfigured(program, PASS_LADDER[-1][1],
-                              autotune=autotune_mode)
-    autotuned_vs_default = ab_ratio(
-        executor(default_prog), executor(tuned_prog), feeds,
-        chunks=max(5, steps // 10), chunk_steps=10)
     overhead_speedup = (
         interp["dispatch_overhead_ms"] / plan["dispatch_overhead_ms"]
         if plan["dispatch_overhead_ms"] > 0 else float("inf"))
 
     # Per-stage instruction counts from a fresh pipeline run (cheap: no
-    # execution, just lowering) — CI tracks where each pass bites. The
-    # autotuned config is a superset of the default pipeline, so its
-    # report covers both.
+    # execution, just lowering) — CI tracks where each pass bites.
     pipeline_report: dict = {}
-    run_pipeline(reconfigured(program, "default", autotune=autotune_mode),
-                 report=pipeline_report)
+    run_pipeline(reconfigured(program, "default"), report=pipeline_report)
     return {
         "workload": {
             "model": "mcunet_micro",
@@ -227,17 +171,8 @@ def run(batch: int, steps: int, warmup: int, autotune_mode: str) -> dict:
             "nodes": program.num_nodes,
             "plan_instructions": len(spec.instructions),
             "plan_instructions_unoptimized": len(spec_none.instructions),
-            "plan_instructions_autotuned": len(spec_tuned.instructions),
-            "fused_instructions": sum(
-                1 for i in spec.instructions if i.fused is not None),
-            "folded_const_args": sum(
-                len(i.const_args) for i in spec.instructions),
             "precomputed_slots": len(spec.precomputed),
             "precomputed_bytes": spec.precomputed_bytes,
-            "tuned_variants": len(spec_tuned.tuned_variants),
-            "tuned_non_base": sum(
-                1 for t in spec_tuned.tuned_variants if t.variant != "base"),
-            "autotune_mode": autotune_mode,
             "steps": steps,
             "warmup": warmup,
         },
@@ -246,12 +181,9 @@ def run(batch: int, steps: int, warmup: int, autotune_mode: str) -> dict:
         "interpreter": interp,
         "plan_unoptimized": plan_none,
         "plan": plan,
-        "plan_autotuned": plan_tuned,
         "speedup": plan["steps_per_s"] / interp["steps_per_s"],
         "speedup_vs_unoptimized_plan":
             plan["steps_per_s"] / plan_none["steps_per_s"],
-        "speedup_autotuned": plan_tuned["steps_per_s"] / interp["steps_per_s"],
-        "speedup_autotuned_vs_default": autotuned_vs_default,
         "dispatch_overhead_speedup": overhead_speedup,
     }
 
@@ -263,21 +195,16 @@ def main(argv=None) -> int:
     parser.add_argument("--batch", type=int, default=2)
     parser.add_argument("--steps", type=int, default=None)
     parser.add_argument("--warmup", type=int, default=None)
-    parser.add_argument("--autotune", choices=("cost", "measure"),
-                        default="cost",
-                        help="autotune mode for the +autotune rung "
-                             "(default: cost model only)")
     parser.add_argument("--out", type=Path,
                         default=Path("BENCH_step_latency.json"))
     args = parser.parse_args(argv)
     steps = args.steps or (30 if args.quick else 150)
     warmup = args.warmup or (5 if args.quick else 20)
 
-    banner("Step latency — pass-pipeline ladder vs interpreter "
+    banner("Step latency — interpreter vs plan "
            "(MCUNet sparse fine-tuning)")
-    result = run(args.batch, steps, warmup, args.autotune)
-    for backend in ("interpreter", "plan_unoptimized", "plan",
-                    "plan_autotuned"):
+    result = run(args.batch, steps, warmup)
+    for backend in ("interpreter", "plan_unoptimized", "plan"):
         r = result[backend]
         print(f"{backend:>16}: p50 {r['p50_ms']:7.3f} ms   "
               f"p95 {r['p95_ms']:7.3f} ms   "
@@ -293,17 +220,8 @@ def main(argv=None) -> int:
               f"({rung['instructions_delta']:+d}), "
               f"p50 {rung['p50_ms']:7.3f} ms "
               f"({rung['p50_delta_ms']:+.3f} ms)")
-    print(f"{'optimized':>16}: {w['fused_instructions']} fused chains, "
-          f"{w['folded_const_args']} folded scalar args, "
-          f"{w['precomputed_slots']} precomputed slot(s) "
-          f"({w['precomputed_bytes']} bytes), "
-          f"{w['plan_instructions_unoptimized'] - w['plan_instructions']} "
-          f"instructions eliminated")
-    print(f"{'autotuned':>16}: {w['tuned_variants']} decisions "
-          f"({w['tuned_non_base']} non-base) via {w['autotune_mode']}, "
-          f"{result['speedup_autotuned']:.2f}x vs interpreter, "
-          f"{result['speedup_autotuned_vs_default']:.2f}x vs default "
-          f"pipeline (interleaved A/B)")
+    print(f"{'optimized':>16}: {w['precomputed_slots']} precomputed "
+          f"slot(s) ({w['precomputed_bytes']} bytes)")
     print(f"{'speedup':>16}: {result['speedup']:.2f}x end-to-end, "
           f"{result['speedup_vs_unoptimized_plan']:.2f}x vs passes=none, "
           f"{result['dispatch_overhead_speedup']:.2f}x on executor "
@@ -313,9 +231,7 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
 
     # Regression gates. End-to-end speedup is mostly shared kernel time
-    # and wobbles with machine load, so it gets a tolerance band; the
-    # dispatch overhead ratio and the pass pipeline's structural wins are
-    # deterministic and must never regress.
+    # and wobbles with machine load, so it gets a tolerance band.
     if result["speedup"] < 0.90:
         print("FAIL: plan-backed executor is >10% slower than the "
               "interpreter", file=sys.stderr)
@@ -324,26 +240,10 @@ def main(argv=None) -> int:
         print("FAIL: plan-backed executor has higher dispatch overhead "
               "than the interpreter", file=sys.stderr)
         return 1
-    if w["plan_instructions"] >= w["plan_instructions_unoptimized"]:
-        print("FAIL: optimized plan does not emit fewer instructions than "
-              "passes=none", file=sys.stderr)
-        return 1
     if result["plan"]["steady_state_allocs_per_step"] \
             > result["plan_unoptimized"]["steady_state_allocs_per_step"]:
         print("FAIL: optimized plan allocates more per steady-state step "
               "than passes=none", file=sys.stderr)
-        return 1
-    if w["tuned_variants"] == 0 or w["tuned_non_base"] == 0:
-        print("FAIL: autotune pass made no variant decisions on the "
-              "MCUNet sparse plan", file=sys.stderr)
-        return 1
-    if w["plan_instructions_autotuned"] > w["plan_instructions"]:
-        print("FAIL: autotuned plan emits more instructions than the "
-              "default pipeline", file=sys.stderr)
-        return 1
-    if result["speedup_autotuned_vs_default"] < 0.95:
-        print("FAIL: autotuned plan lost >5% throughput vs the default "
-              "pipeline", file=sys.stderr)
         return 1
     return 0
 

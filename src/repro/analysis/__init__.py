@@ -20,14 +20,12 @@ including inside deployed workers.
 
 from .asynclint import (lint_module, lint_paths, lint_tree,
                         lint_worker_imports, worker_import_report)
-from .effects import OpEffects, safe_to_defer, stream_effects
 from .planlint import (check_plan, report_for, verify_enabled,
                        verify_plan_spec, verify_program)
 from .report import Finding, Report, format_findings, parse_waivers
 
 __all__ = [
     "Finding",
-    "OpEffects",
     "Report",
     "check_plan",
     "format_findings",
@@ -37,8 +35,6 @@ __all__ = [
     "lint_worker_imports",
     "parse_waivers",
     "report_for",
-    "safe_to_defer",
-    "stream_effects",
     "verify_enabled",
     "verify_plan_spec",
     "verify_program",

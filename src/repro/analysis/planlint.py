@@ -1,9 +1,8 @@
 """Static plan verifier: prove a PlanSpec safe before anything executes it.
 
-The pass pipeline (``lower -> fuse_elementwise -> fold_scalars ->
-precompute_frozen [-> autotune] -> allocate``) rewrites slot tables,
-free-lists, donation decisions, kernel variants, and arena caps on
-every compile. Until now the only safety net was the
+The pass pipeline (``lower -> precompute_frozen -> allocate``) derives
+slot tables, free-lists, donation decisions, kernel variants, and arena
+caps on every compile. Until now the only safety net was the
 byte-exactness oracle — which *runs* the plan, so a bad free-list or an
 alias-unsafe donation shows up as silent corruption of a tenant's
 optimizer state rather than a compile-time error. This module closes
@@ -20,8 +19,8 @@ proves:
 * **donation / alias safety** — a donated buffer is a dying, provably
   unaliased input of the same (shape, dtype) as the output, is freed at
   the donating instruction with no arena key (the buffer lives on as
-  the output), and — for fused chains — is read only by the first link;
-  a ``donating``-variant instruction's clobbered inputs all die there;
+  the output); a ``donating``-variant instruction's clobbered inputs
+  all die there;
 * **dtype/shape consistency** — each instruction's slots map to exactly
   the node's input/output names, arity and inferred output specs match
   the kernel schema, and the recorded ``out=`` shape/dtype equals the
@@ -30,18 +29,6 @@ proves:
   in-place node mutates is actually touched by an in-place instruction
   in the stream (a dropped ``apply_*`` instruction is a silent
   no-training bug);
-* **fused-link invariants** — interior link values own no slot, chains
-  are shape/dtype-stable, every link is a fusable single-output
-  elementwise op, the first link reads no "previous value", and later
-  links do;
-* **const-arg splices** — a folded scalar names frozen shape-``()``
-  state, its assembled position is in range, and the folded name owns
-  no slot anywhere in the plan;
-* **honest tuning decisions** (``tuned-*`` rules) — every
-  ``tuned_variants`` row names a real instruction, a registered
-  variant of the right kernel, the variant the instruction actually
-  binds, a known source (``cost``/``measure``), finite non-negative
-  costs, and no instruction is tuned twice;
 * **independent byte accounting** — the transient-byte timeline, peak,
   arena caps, precomputed bytes, and clear-slot set are recomputed from
   scratch and must equal the numbers ``allocate`` recorded. A plan that
@@ -126,8 +113,6 @@ class _PlanChecker:
         self.keep = set(program.outputs)
         self.mutable = set(program.mutable_state_names())
         self.findings: list[Finding] = []
-        #: fused link nodes count as executed schedule nodes
-        self._fused_seen: set[str] = set()
         #: slot -> bound value name (slots map 1:1 to names in this IR)
         self.names: dict[int, str] = {}
         self.status: dict[int, int] = {}
@@ -167,17 +152,16 @@ class _PlanChecker:
 
     @staticmethod
     def _is_view(instr: InstructionSpec) -> bool:
-        return instr.fused is None and instr.kernel in VIEW_OPS
+        return instr.kernel in VIEW_OPS
 
     @staticmethod
     def _is_inplace(instr: InstructionSpec) -> bool:
-        if instr.fused is not None or instr.kernel not in VIEW_OPS:
-            try:
-                return instr.fused is None \
-                    and get_schema(instr.kernel).inplace
-            except ReproError:
-                return False
-        return False
+        if instr.kernel in VIEW_OPS:
+            return False
+        try:
+            return get_schema(instr.kernel).inplace
+        except ReproError:
+            return False
 
     # -- slot bookkeeping -----------------------------------------------------
 
@@ -209,12 +193,9 @@ class _PlanChecker:
             self.bind(slot, name, "feed_specs")
             self.status[slot] = _LIVE
         bound_state = {name for _, name in spec.state_bindings}
-        const_state = {name for instr in spec.instructions
-                       for _, name in instr.const_args}
-        if bound_state | const_state != self.state_names:
+        if bound_state != self.state_names:
             self.flag("state-binding-mismatch", "state_bindings",
-                      f"plan binds state {sorted(bound_state)} (+ "
-                      f"{sorted(const_state)} const-folded) but the "
+                      f"plan binds state {sorted(bound_state)} but the "
                       f"program owns {sorted(self.state_names)}")
         state_slots = set()
         for slot, name in spec.state_bindings:
@@ -271,7 +252,6 @@ class _PlanChecker:
         arena_caps: dict = {}
         written_state: set[str] = set()
         seen_nodes: set[str] = set()
-        interior_names: list[tuple[str, str]] = []
 
         for idx, instr in enumerate(spec.instructions):
             where = f"instr {idx} ({instr.node!r})"
@@ -298,15 +278,7 @@ class _PlanChecker:
                     self.flag("use-after-free", where,
                               f"reads slot {slot} after it was freed")
 
-            if instr.const_args:
-                self._check_const_args(instr, where, inplace, view)
-
-            if instr.fused is not None:
-                self._check_fused(idx, instr, node, where, interior_names)
-                expected_inputs = None  # checked inside _check_fused
-            else:
-                expected_inputs = self._check_plain(instr, node, where,
-                                                    inplace)
+            expected_inputs = self._check_inputs(instr, node, where)
 
             # Outputs: exactly the node's outputs, each defined once.
             out_names = node.outputs
@@ -330,7 +302,7 @@ class _PlanChecker:
 
             # check_state_slots: exactly the state inputs of view kernels.
             expected_check = ()
-            if view and not inplace and expected_inputs is not None:
+            if view and not inplace:
                 expected_check = tuple(
                     slot for slot, name in zip(instr.input_slots,
                                                expected_inputs)
@@ -349,9 +321,7 @@ class _PlanChecker:
                 written_state.update(
                     name for name in node.inputs
                     if name in self.state_names)
-            expected_fresh = 0 if inplace else (
-                len(instr.fused) if instr.fused is not None
-                else len(node.outputs))
+            expected_fresh = 0 if inplace else len(node.outputs)
             if instr.fresh_outputs != expected_fresh:
                 self.flag("fresh-outputs-mismatch", where,
                           f"fresh_outputs {instr.fresh_outputs} != "
@@ -429,61 +399,15 @@ class _PlanChecker:
                 arena_caps[cap_key] = arena_caps.get(cap_key, 0) + 1
 
         self._check_end_state(arena_caps, peak, transient, written_state,
-                              seen_nodes, interior_names, state_slots,
-                              pre_slots)
+                              seen_nodes, state_slots, pre_slots)
         return self.findings
 
     # -- per-instruction helpers ----------------------------------------------
 
-    def _check_const_args(self, instr, where: str, inplace: bool,
-                          view: bool) -> None:
-        """Folded-scalar splices: frozen shape-() state at valid positions."""
-        if inplace or view:
-            self.flag("const-arg-context", where,
-                      "const-folded inputs on an in-place/view instruction")
-        total = len(instr.input_slots) + len(instr.const_args)
-        seen: set[int] = set()
-        for pos, name in instr.const_args:
-            cwhere = f"{where} const_arg {pos}"
-            if not 0 <= pos < total:
-                self.flag("const-arg-range", cwhere,
-                          f"position {pos} outside the assembled input "
-                          f"list of {total}")
-            if pos in seen:
-                self.flag("const-arg-duplicate", cwhere,
-                          "position spliced twice")
-            seen.add(pos)
-            if name not in self.state_names:
-                self.flag("const-arg-source", cwhere,
-                          f"{name!r} is not program state")
-                continue
-            if name in self.mutable:
-                self.flag("const-arg-mutable", cwhere,
-                          f"{name!r} is mutated in place; only frozen "
-                          f"state may fold")
-            cspec = self.value_spec(name, cwhere)
-            if cspec is not None and tuple(cspec.shape) != ():
-                self.flag("const-arg-shape", cwhere,
-                          f"{name!r} has shape {tuple(cspec.shape)}; "
-                          f"only scalars fold")
-
-    def _check_plain(self, instr, node, where: str, inplace: bool):
-        """Non-fused: arity, slot->name mapping, schema inference."""
+    def _check_inputs(self, instr, node, where: str):
+        """Arity, slot->name mapping, schema inference."""
         expected_inputs = list(node.inputs)
-        if instr.const_args:
-            consts = dict(instr.const_args)
-            kept = []
-            for pos, name in enumerate(expected_inputs):
-                want = consts.pop(pos, None)
-                if want is None:
-                    kept.append(name)
-                elif want != name:
-                    self.flag("const-arg-mismatch", where,
-                              f"const position {pos} splices {want!r}, "
-                              f"node reads {name!r}")
-            expected_inputs = kept
-        if instr.fused is None \
-                and instr.variant not in (VARIANT_BASE, VARIANT_DONATING):
+        if instr.variant not in (VARIANT_BASE, VARIANT_DONATING):
             if (instr.kernel, instr.variant) not in VARIANT_KERNELS:
                 self.flag("unknown-variant", where,
                           f"variant {instr.variant!r} is not registered "
@@ -551,129 +475,11 @@ class _PlanChecker:
                           f"{tuple(declared.shape)}/{declared.dtype} but "
                           f"schema infers {tuple(shape)}/{dtype}")
 
-    def _check_fused(self, idx: int, instr, node, where: str,
-                     interior_names: list) -> None:
-        """Fused-chain invariants; also maps external inputs to names."""
-        links = instr.fused
-        if not links:
-            self.flag("fused-empty", where, "fused instruction has no links")
-            return
-        if links[-1].node != instr.node or links[-1].kernel != instr.kernel:
-            self.flag("fused-tail-mismatch", where,
-                      f"instruction node/kernel != last link "
-                      f"({links[-1].node!r}/{links[-1].kernel!r})")
-        final_spec = None
-        if node.outputs:
-            final_spec = self.value_spec(node.outputs[0], where)
-        # Link args index the *assembled* input list: slots in order, with
-        # const-folded state spliced back at its recorded positions.
-        const_at = dict(instr.const_args)
-        total = len(instr.input_slots) + len(const_at)
-        slot_of: dict[int, int] = {}
-        nxt = 0
-        for pos in range(total):
-            if pos not in const_at:
-                slot_of[pos] = nxt
-                nxt += 1
-        external: dict[int, str] = {}
-        prev_value: str | None = None
-        for pos, link in enumerate(links):
-            lwhere = f"{where} link {pos} ({link.node!r})"
-            lnode = self.nodes.get(link.node)
-            if lnode is None:
-                self.flag("unknown-node", lwhere,
-                          "fused link references a node the schedule lacks")
-                return
-            self._fused_seen.add(link.node)
-            if lnode.op_type != link.kernel:
-                self.flag("kernel-mismatch", lwhere,
-                          f"link kernel {link.kernel!r} but node is "
-                          f"{lnode.op_type!r}")
-            k = link.kernel
-            eligible = (len(lnode.outputs) == 1
-                        and k in OUT_KERNELS and k in OUT_ALIAS_SAFE
-                        and k not in VIEW_OPS)
-            try:
-                eligible = eligible and not get_schema(k).inplace
-            except ReproError:
-                eligible = False
-            if not eligible:
-                self.flag("fused-ineligible-link", lwhere,
-                          f"{k!r} is not a single-output alias-safe "
-                          f"elementwise kernel")
-            if pos == 0 and any(a is None for a in link.args):
-                self.flag("fused-chain-break", lwhere,
-                          "first link reads a previous value")
-            if pos > 0 and not any(a is None for a in link.args):
-                self.flag("fused-chain-break", lwhere,
-                          "link never reads the previous link's result")
-            if len(link.args) != len(lnode.inputs):
-                self.flag("fused-arg-arity", lwhere,
-                          f"{len(link.args)} args for "
-                          f"{len(lnode.inputs)} node inputs")
-            else:
-                for arg, name in zip(link.args, lnode.inputs):
-                    if arg is None:
-                        if name != prev_value:
-                            self.flag("fused-arg-mismatch", lwhere,
-                                      f"arg None stands for {prev_value!r} "
-                                      f"but node reads {name!r}")
-                        continue
-                    if not 0 <= arg < total:
-                        self.flag("fused-arg-range", lwhere,
-                                  f"arg index {arg} outside the assembled "
-                                  f"input list of {total}")
-                        continue
-                    known = external.get(arg)
-                    if known is None:
-                        external[arg] = name
-                    elif known != name:
-                        self.flag("fused-arg-mismatch", lwhere,
-                                  f"external input {arg} is both "
-                                  f"{known!r} and {name!r}")
-            # mid-chain shape/dtype stability
-            if lnode.outputs:
-                lspec = self.value_spec(lnode.outputs[0], lwhere)
-                if lspec is not None and final_spec is not None \
-                        and (tuple(lspec.shape) != tuple(final_spec.shape)
-                             or lspec.dtype != final_spec.dtype):
-                    self.flag("fused-shape-drift", lwhere,
-                              f"link output {tuple(lspec.shape)}/"
-                              f"{lspec.dtype} != chain output "
-                              f"{tuple(final_spec.shape)}/"
-                              f"{final_spec.dtype}")
-                if pos < len(links) - 1:
-                    interior_names.append((lnode.outputs[0], where))
-            self._check_schema(lnode, lwhere)
-            prev_value = lnode.outputs[0] if lnode.outputs else None
-        # every assembled position (slot or const splice) must be some
-        # link's external arg, and the position->name mapping must agree
-        if set(external) != set(range(total)):
-            self.flag("fused-input-mismatch", where,
-                      f"external args {sorted(external)} do not cover "
-                      f"assembled positions 0..{total - 1}")
-        else:
-            for arg, name in external.items():
-                cname = const_at.get(arg)
-                if cname is not None:
-                    if cname != name:
-                        self.flag("const-arg-mismatch", where,
-                                  f"assembled position {arg} splices "
-                                  f"{cname!r}, link arg reads {name!r}")
-                    continue
-                bound = self.names.get(instr.input_slots[slot_of[arg]])
-                if bound is not None and bound != name:
-                    self.flag("input-slot-mismatch", where,
-                              f"input slot "
-                              f"{instr.input_slots[slot_of[arg]]} holds "
-                              f"{bound!r}, link arg {arg} reads {name!r}")
-
     def _check_out_and_donation(self, instr, node, where: str,
                                 inplace: bool, recyclable) -> None:
         if instr.use_out:
             legal = not inplace and len(node.outputs) == 1 \
-                and (instr.fused is not None
-                     or instr.kernel in OUT_KERNELS)
+                and instr.kernel in OUT_KERNELS
             if not legal:
                 self.flag("invalid-use-out", where,
                           "use_out set on an instruction with no out= "
@@ -733,40 +539,14 @@ class _PlanChecker:
                           f"donated buffer {name!r} is "
                           f"{(tuple(dspec.shape), dspec.dtype)}, output "
                           f"wants {(tuple(instr.out_shape), instr.out_dtype)}")
-        if instr.fused is not None:
-            first = {a for a in instr.fused[0].args if a is not None}
-            later = {a for link in instr.fused[1:]
-                     for a in link.args if a is not None}
-            safe = first - later
-            try:
-                arg = instr.input_slots.index(slot)
-            except ValueError:
-                return
-            if instr.const_args:
-                # link args index the assembled list: shift the slot
-                # position past the const splices before it
-                const_positions = {pos for pos, _ in instr.const_args}
-                total = len(instr.input_slots) + len(const_positions)
-                k = -1
-                for pos in range(total):
-                    if pos in const_positions:
-                        continue
-                    k += 1
-                    if k == arg:
-                        arg = pos
-                        break
-            if arg not in safe:
-                self.flag("donation-alias-unsafe", where,
-                          f"donated input {arg} is read by a later fused "
-                          f"link; the first link's write clobbers it")
-        elif instr.kernel not in OUT_ALIAS_SAFE:
+        if instr.kernel not in OUT_ALIAS_SAFE:
             self.flag("donation-alias-unsafe", where,
                       f"{instr.kernel!r} is not alias-safe; it may read "
                       f"the donated buffer after writing it")
 
     def _check_donating_variant(self, instr, node, where: str,
                                 recyclable) -> None:
-        if instr.fused is not None or instr.kernel not in DONATING_KERNELS:
+        if instr.kernel not in DONATING_KERNELS:
             self.flag("unknown-variant", where,
                       f"donating variant but {instr.kernel!r} has no "
                       f"donating kernel")
@@ -784,62 +564,12 @@ class _PlanChecker:
                           f"({self.names.get(slot)!r}) is not a dying "
                           f"unaliased buffer")
 
-    def _check_tuned(self) -> None:
-        """Tuned-variant table: every decision names a real instruction,
-        a registered (or base) variant, and matches what the instruction
-        actually runs — a table that lies about tuning is rejected."""
-        by_node = {instr.node: instr for instr in self.spec.instructions}
-        seen: set[str] = set()
-        for entry in self.spec.tuned_variants:
-            where = f"tuned_variants {entry.node!r}"
-            if entry.node in seen:
-                self.flag("tuned-duplicate", where,
-                          "two tuning decisions for one instruction")
-            seen.add(entry.node)
-            if entry.source not in ("cost", "measure"):
-                self.flag("tuned-source", where,
-                          f"unknown tuning source {entry.source!r}")
-            for label, value in (("predicted_us", entry.predicted_us),
-                                 ("measured_us", entry.measured_us)):
-                if value is None:
-                    continue
-                if not isinstance(value, (int, float)) or value != value \
-                        or value < 0:
-                    self.flag("tuned-cost-invalid", where,
-                              f"{label} {value!r} is not a non-negative "
-                              f"number")
-            instr = by_node.get(entry.node)
-            if instr is None:
-                self.flag("tuned-unknown-node", where,
-                          "no instruction with this node in the stream")
-                continue
-            if instr.kernel != entry.kernel:
-                self.flag("tuned-kernel-mismatch", where,
-                          f"table says {entry.kernel!r}, instruction runs "
-                          f"{instr.kernel!r}")
-            if entry.variant == VARIANT_BASE:
-                if instr.variant not in (VARIANT_BASE, VARIANT_DONATING):
-                    self.flag("tuned-variant-mismatch", where,
-                              f"table says base but instruction runs "
-                              f"{instr.variant!r}")
-                continue
-            if (entry.kernel, entry.variant) not in VARIANT_KERNELS:
-                self.flag("tuned-unregistered-variant", where,
-                          f"variant {entry.variant!r} is not registered "
-                          f"for {entry.kernel!r}")
-            if instr.variant != entry.variant:
-                self.flag("tuned-variant-mismatch", where,
-                          f"table says {entry.variant!r}, instruction "
-                          f"runs {instr.variant!r}")
-
     # -- end-of-stream checks -------------------------------------------------
 
     def _check_end_state(self, arena_caps, peak, transient, written_state,
-                         seen_nodes, interior_names, state_slots,
-                         pre_slots) -> None:
+                         seen_nodes, state_slots, pre_slots) -> None:
         spec = self.spec
         where = "plan"
-        self._check_tuned()
 
         for name in sorted(self.mutable - written_state):
             self.flag("state-not-written", where,
@@ -847,20 +577,11 @@ class _PlanChecker:
                       f"in-place instruction — the step silently stops "
                       f"training it")
 
-        executed = seen_nodes | self._fused_seen
-        missing = {node.name for node in self.program.schedule} - executed
+        missing = {node.name for node in self.program.schedule} - seen_nodes
         for name in sorted(missing):
             self.flag("missing-instruction", where,
                       f"schedule node {name!r} has no instruction in the "
                       f"stream")
-
-        name_to_slot = {name: slot for slot, name in self.names.items()}
-        for name, owner in interior_names:
-            if name in name_to_slot:
-                self.flag("fused-interior-slot", owner,
-                          f"interior fused value {name!r} owns slot "
-                          f"{name_to_slot[name]}; interior links must not "
-                          f"materialize")
 
         produced = {name for name, _ in spec.output_slots}
         if produced != self.keep:

@@ -8,7 +8,6 @@ Usage::
     python -m repro.cli scheme --model bert
     python -m repro.cli profile --model mcunet --device stm32f746 --sparse
     python -m repro.cli deploy --model mcunet_micro --out ./artifact
-    python -m repro.cli autotune ./artifact --device raspberry_pi_4
     python -m repro.cli lint-plan ./artifact
     python -m repro.cli lint-async
     python -m repro.cli devices
@@ -166,68 +165,6 @@ def cmd_deploy(args) -> int:
         ["weights", f"{report.weight_bytes / 1024:.1f}KB"],
         ["arena", f"{deployed.arena_bytes / 1024:.1f}KB"],
     ], title=f"deployable training artifact for {args.model}"))
-    return 0
-
-
-def cmd_autotune(args) -> int:
-    from pathlib import Path
-
-    from .deploy import load_artifact, save_artifact
-    from .errors import ReproError
-
-    try:
-        deployed = load_artifact(args.artifact)
-    except ReproError as exc:
-        print(f"autotune: cannot load {args.artifact}: {exc}",
-              file=sys.stderr)
-        return 2
-    program = deployed.program
-    old_spec = program.plan_spec()
-    # Re-lower through the artifact's own pipeline (minus any previous
-    # autotune stage — run_pipeline re-appends it) with tuning enabled.
-    mode = "measure" if args.measure else "cost"
-    program.meta["plan_passes"] = tuple(
-        p for p in old_spec.passes if p != "autotune")
-    program.meta["autotune"] = mode
-    program.meta["autotune_device"] = args.device
-    program.meta.pop("__plan__", None)
-    program.meta.pop("__plan_spec__", None)
-    spec = program.plan_spec()
-
-    decisions = spec.tuned_variants
-    kept = sum(1 for d in decisions if d.variant != "base")
-    rows = [
-        [d.node, d.kernel, d.variant,
-         f"{d.predicted_us:.2f}",
-         f"{d.measured_us:.2f}" if d.measured_us is not None else "-",
-         d.source]
-        for d in decisions
-    ]
-    if rows:
-        print(render_table(
-            ["instruction", "kernel", "variant", "predicted us",
-             "measured us", "source"], rows,
-            title=f"autotune ({mode}) on {args.device}: "
-                  f"{kept} variant(s) kept, "
-                  f"{len(decisions) - kept} reverted to base"))
-    else:
-        print(f"autotune ({mode}) on {args.device}: "
-              f"no tunable instructions in this plan")
-    save_artifact(program, args.artifact)
-    print(f"\nartifact rewritten with tuned plan: {args.artifact}")
-    if args.json:
-        Path(args.json).write_text(json.dumps({
-            "artifact": str(args.artifact),
-            "device": args.device,
-            "mode": mode,
-            "instructions": len(spec.instructions),
-            "decisions": [
-                {"node": d.node, "kernel": d.kernel, "variant": d.variant,
-                 "predicted_us": d.predicted_us,
-                 "measured_us": d.measured_us, "source": d.source}
-                for d in decisions
-            ],
-        }, indent=1))
     return 0
 
 
@@ -464,19 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     dep.add_argument("--batch", type=int, default=1)
     dep.add_argument("--sparse", action="store_true")
 
-    tune = sub.add_parser(
-        "autotune",
-        help="pick per-instruction kernel variants for an artifact's plan "
-             "and rewrite the artifact with the tuned plan")
-    tune.add_argument("artifact", help="artifact directory to tune in place")
-    tune.add_argument("--device", default="raspberry_pi_4",
-                      choices=sorted(DEVICES),
-                      help="latency-model device the ranking targets")
-    tune.add_argument("--measure", action="store_true",
-                      help="confirm the cost-model ranking with cached "
-                           "on-host microbenchmarks")
-    tune.add_argument("--json", metavar="PATH",
-                      help="also write the tuning decisions as JSON here")
 
     lint_plan = sub.add_parser(
         "lint-plan",
@@ -593,7 +517,6 @@ def main(argv: list[str] | None = None) -> int:
         "scheme": cmd_scheme,
         "profile": cmd_profile,
         "deploy": cmd_deploy,
-        "autotune": cmd_autotune,
         "lint-plan": cmd_lint_plan,
         "lint-async": cmd_lint_async,
         "serve": cmd_serve,

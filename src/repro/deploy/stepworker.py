@@ -235,25 +235,16 @@ def _execute(artifact_dir: str, key: str,
 
 def probe():
     """Report what this worker process actually imported (honesty check),
-    plus the lowering shape of every bound plan (fused instruction counts,
-    precomputed constant slots, const-folded scalars, autotune decisions)
-    so operators can see which optimizations the data plane is actually
-    running."""
+    plus the lowering shape of every bound plan (passes, instruction
+    count, precomputed constant slots) so operators can see which
+    optimizations the data plane is actually running."""
     plans = {}
     for key, (program, _executor) in _BOUND.items():
         spec = program.plan_spec()
-        tuned_kept = sum(1 for t in spec.tuned_variants
-                         if t.variant != "base")
         plans[key[:12]] = {
             "passes": list(spec.passes),
             "instructions": len(spec.instructions),
-            "fused_instructions": sum(
-                1 for instr in spec.instructions if instr.fused is not None),
             "precomputed_slots": len(spec.precomputed),
-            "const_folded_args": sum(
-                len(instr.const_args) for instr in spec.instructions),
-            "tuned_instructions": len(spec.tuned_variants),
-            "tuned_variants_kept": tuned_kept,
         }
     return {
         "pid": os.getpid(),

@@ -63,7 +63,32 @@ class DeviceError(ReproError):
 
 
 class ServeError(ReproError):
-    """The fine-tuning service was misused (unknown session, closed, ...)."""
+    """The fine-tuning service was misused (unknown session, closed, ...).
+
+    ``status`` is the HTTP status the gateway answers with; subclasses
+    narrow it, so callers branch on the type, never on message text.
+    """
+
+    status = 400
+
+
+class UnknownSession(ServeError):
+    """The request names a session the service does not hold."""
+
+    status = 404
+
+
+class SessionConflict(ServeError):
+    """The request conflicts with live state: the session is busy or
+    already open, or the server is not configured for the operation."""
+
+    status = 409
+
+
+class ServiceClosed(ServeError):
+    """The service (or its scheduler) is shutting down or shut down."""
+
+    status = 503
 
 
 class CheckpointError(ServeError):

@@ -154,8 +154,6 @@ from . import reduce  # noqa: E402,F401
 from . import shape  # noqa: E402,F401
 from . import winograd  # noqa: E402,F401
 
-from .elementwise import make_fused_kernel  # noqa: E402
-
 __all__ = [
     "DONATED_INPUTS",
     "DONATING_KERNELS",
@@ -167,7 +165,6 @@ __all__ = [
     "VIEW_OPS",
     "donating_kernel",
     "kernel",
-    "make_fused_kernel",
     "out_kernel",
     "register_transform",
     "run_op",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel, register_transform, variant_kernel, workspace
+from . import kernel, register_transform, variant_kernel
 from .elementwise import apply_activation
 
 
@@ -40,13 +40,12 @@ def _pair(value) -> tuple[int, int]:
 def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     """Zero-pad H/W. np.pad's generic machinery costs tens of µs per call,
     which dominates small-resolution convs; border-zero + interior-assign
-    is ~5x cheaper, writes every element exactly once (so the buffer can
-    come from the recycled workspace), and padding-free convs (every 1x1)
-    skip the copy entirely."""
+    is ~5x cheaper, and padding-free convs (every 1x1) skip the copy
+    entirely."""
     if ph == 0 and pw == 0:
         return x
     n, c, h, w = x.shape
-    xp = workspace.take((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
+    xp = np.empty((n, c, h + 2 * ph, w + 2 * pw), x.dtype)
     xp[:, :, :ph] = 0
     xp[:, :, ph + h:] = 0
     xp[:, :, ph:ph + h, :pw] = 0
@@ -57,23 +56,15 @@ def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
 
 def im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
            ph: int, pw: int) -> tuple[np.ndarray, int, int]:
-    """Unfold ``x`` [N,C,H,W] into columns [N, C*kh*kw, Ho*Wo].
-
-    The column matrix is workspace scratch: callers that finish consuming
-    it (and every view of it) should hand it back via
-    :func:`repro.kernels.workspace.give` so the next step's unfold
-    recycles the buffer instead of allocating.
-    """
+    """Unfold ``x`` [N,C,H,W] into columns [N, C*kh*kw, Ho*Wo]."""
     n, c, h, w = x.shape
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (w + 2 * pw - kw) // sw + 1
     xp = _pad2d(x, ph, pw)
-    cols = workspace.take((n, c, kh, kw, ho, wo), x.dtype)
+    cols = np.empty((n, c, kh, kw, ho, wo), x.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
-    if xp is not x:  # pad scratch dies here; the input is caller-owned
-        workspace.give(xp)
     return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
@@ -81,31 +72,20 @@ def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
            sh: int, sw: int, ph: int, pw: int) -> np.ndarray:
     """Fold columns [N, C*kh*kw, Ho*Wo] back, accumulating overlaps.
 
-    The padded fold target is workspace scratch (the last un-pooled conv
-    scratch path): for padded convs it is copied out and recycled, so each
-    step's fold reuses the previous step's buffer instead of allocating.
-    Padding-free folds return the buffer itself — it escapes the kernel as
-    the gradient, so it is deliberately never given back (take-without-
-    give is always safe; the plan's arena recycles it downstream instead).
+    Padded folds copy the interior out instead of returning a strided
+    view, so the gradient is contiguous and arena-poolable downstream.
     """
     n, c, h, w = x_shape
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (w + 2 * pw - kw) // sw + 1
     cols = cols.reshape(n, c, kh, kw, ho, wo)
-    xp = workspace.take((n, c, h + 2 * ph, w + 2 * pw), cols.dtype)
-    xp[...] = 0
+    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), cols.dtype)
     for i in range(kh):
         for j in range(kw):
             xp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += cols[:, :, i, j]
     if ph == 0 and pw == 0:
         return xp
-    # Copy the interior out instead of returning a strided view: values are
-    # identical, the scratch can be recycled, and the contiguous result is
-    # arena-poolable downstream (the view never was).
-    dx = np.empty((n, c, h, w), dtype=cols.dtype)
-    dx[...] = xp[:, :, ph:ph + h, pw:pw + w]
-    workspace.give(xp)
-    return dx
+    return np.ascontiguousarray(xp[:, :, ph:ph + h, pw:pw + w])
 
 
 #: im2col scratch bound for grouped convs: chunks of groups are unfolded
@@ -132,7 +112,6 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
         cols, ho, wo = im2col(x, kh, kw, sh, sw, ph, pw)
         # (cout, k) @ (n, k, l) broadcasts over the batch dim -> (n, cout, l)
         y = w.reshape(cout, -1) @ cols
-        workspace.give(cols)
         return y.reshape(n, cout, ho, wo)
     # Grouped path: batched matmul over (batch, group) chunks — im2col's
     # column layout is channel-major, so each group's rows are contiguous.
@@ -149,7 +128,6 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, stride=1, padding=0,
         cols, ho, wo = im2col(xg, kh, kw, sh, sw, ph, pw)
         colsg = cols.reshape(n, g1 - g0, k, ho * wo)
         yg = np.matmul(wg[None, g0:g1], colsg)  # (n, g1-g0, cg_out, l)
-        workspace.give(cols)  # next chunk's im2col recycles the buffer
         outs.append(yg.reshape(n, (g1 - g0) * cg_out, ho, wo))
     return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
 
@@ -207,7 +185,7 @@ def _conv2d_im2col_precomputed(inputs, attrs):
     For these convs im2col is a pure copy: every "column" is just the
     (strided) activation itself. The variant feeds the activation straight
     into the GEMM as a reshape view — skipping the whole-activation
-    workspace copy the base kernel pays — with the plan-owned flattened
+    im2col copy the base kernel pays — with the plan-owned flattened
     weight as the trailing input. Bitwise identity with the base kernel
     holds because both GEMM operands keep the exact layout (C-contiguous)
     and values the base path produces.
@@ -280,7 +258,6 @@ def _conv2d_dw(inputs, attrs):
         cols, _, _ = im2col(x, kh, kw, sh, sw, ph, pw)
         g2 = grad.reshape(n, cout, -1)
         dw = np.tensordot(g2, cols, axes=([0, 2], [0, 2]))
-        workspace.give(cols)
         return [dw.reshape(cout, cin, kh, kw)]
     # Grouped path: batched grad @ cols^T per (batch, group) chunk,
     # reduced over the batch (scratch bounded by _GROUP_SCRATCH_CAP).
@@ -296,7 +273,6 @@ def _conv2d_dw(inputs, attrs):
         cols, _, _ = im2col(xg, kh, kw, sh, sw, ph, pw)
         colsg = cols.reshape(n, g1 - g0, k, l)
         dwg = np.matmul(g2[:, g0:g1], colsg.transpose(0, 1, 3, 2)).sum(axis=0)
-        workspace.give(cols)
         dw[g0 * cg_out:g1 * cg_out] = dwg.reshape(
             (g1 - g0) * cg_out, cin_g, kh, kw)
     return [dw]

@@ -38,41 +38,6 @@ for _name, _ufunc in [("neg", np.negative), ("exp", np.exp),
     out_kernel(_name, alias_safe=True)(_unary_out(_ufunc))
 
 
-# Fused elementwise chains: the plan's fuse_elementwise pass collapses a
-# producer -> sole-consumer run of alias-safe elementwise instructions
-# into one instruction; make_fused_kernel builds its executable form. The
-# base form replays the constituent base kernels sequentially (bitwise
-# identical to the unfused stream by construction); the out= form threads
-# one shared buffer through every link's out= kernel, so the chain's
-# intermediates never exist as allocations at all. Both rely on the
-# out_kernel contract (bitwise parity with base) and on alias_safe links
-# (element i is read before it is written), which is what makes writing
-# link k's result over link k-1's — in the same buffer — safe.
-
-def make_fused_kernel(links):
-    """Build (base, out) callables for a fused chain.
-
-    ``links`` is a tuple of ``(base_fn, out_fn, attrs, args)``; ``args``
-    maps each link input to either ``None`` (the previous link's result)
-    or an index into the fused instruction's input list.
-    """
-
-    def run_base(inputs, attrs):
-        value = None
-        for base_fn, _out_fn, link_attrs, args in links:
-            ins = [value if a is None else inputs[a] for a in args]
-            value = base_fn(ins, link_attrs)[0]
-        return [value]
-
-    def run_out(inputs, attrs, out):
-        for _base_fn, out_fn, link_attrs, args in links:
-            ins = [out if a is None else inputs[a] for a in args]
-            out_fn(ins, link_attrs, out)
-        return out
-
-    return run_base, run_out
-
-
 @kernel("add")
 def _add(inputs, attrs):
     return [inputs[0] + inputs[1]]

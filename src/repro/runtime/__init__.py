@@ -6,8 +6,8 @@ pass pipeline is assembled.
 """
 
 from .executor import Executor, interpret
-from .plan import (BufferArena, ExecutionPlan, FusedLinkSpec, PlanSpec,
-                   PrecomputedSpec, bind_plan, build_plan, build_plan_spec)
+from .plan import (BufferArena, ExecutionPlan, PlanSpec, PrecomputedSpec,
+                   bind_plan, build_plan, build_plan_spec)
 from .profiler import (NodeTiming, RuntimeProfile, analytical_profile,
                        profile_run)
 from .program import Program
@@ -16,7 +16,6 @@ __all__ = [
     "BufferArena",
     "ExecutionPlan",
     "Executor",
-    "FusedLinkSpec",
     "NodeTiming",
     "PlanSpec",
     "PrecomputedSpec",

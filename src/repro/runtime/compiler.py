@@ -58,8 +58,8 @@ class CompileOptions:
     #: keeps zero-stride placeholder views instead of copying real buffers
     materialize_state: bool = True
     #: plan-lowering pass pipeline (:mod:`repro.runtime.passes`):
-    #: ``"default"`` fuses adjacent elementwise instructions and hoists
-    #: frozen-weight Winograd transforms; ``"none"`` is the unoptimized
+    #: ``"default"`` hoists frozen-weight computation into plan-owned
+    #: constant slots (``precompute_frozen``); ``"none"`` is the unoptimized
     #: oracle stream (byte-exact interpreter accounting); an explicit
     #: tuple of pass names runs exactly those. Part of the program cache
     #: key — differently-lowered plans never share a cached artifact.
@@ -70,15 +70,6 @@ class CompileOptions:
     #: force it for this compile. Not part of the cache key — verification
     #: never changes the plan, only whether a bad one is allowed to exist.
     verify_plans: bool | None = None
-    #: per-instruction kernel-variant selection (:mod:`repro.runtime.
-    #: passes.autotune`): ``None`` disables, ``"cost"`` ranks proposed
-    #: variants with the device latency model, ``"measure"`` confirms the
-    #: ranking with cached on-host microbenchmarks. Decisions land in the
-    #: PlanSpec's ``tuned_variants`` table; part of the cache key.
-    autotune: Any = None
-    #: device key (:mod:`repro.devices.catalog`) the autotune pass ranks
-    #: against; ``None`` uses the pass's default edge CPU.
-    autotune_device: str | None = None
     device: Any = None
     debug_validate: bool = False
 
@@ -196,10 +187,6 @@ def compile_training(
     program.meta["plan_passes"] = options.plan_passes
     if options.verify_plans is not None:
         program.meta["verify_plans"] = options.verify_plans
-    if options.autotune:
-        program.meta["autotune"] = options.autotune
-        if options.autotune_device:
-            program.meta["autotune_device"] = options.autotune_device
     if options.materialize_state:
         # Pay the lowering cost here, with compilation, so the first step a
         # tenant runs is already the zero-interpretation fast path.
@@ -255,9 +242,5 @@ def compile_inference(forward: Graph,
     program.meta["plan_passes"] = options.plan_passes
     if options.verify_plans is not None:
         program.meta["verify_plans"] = options.verify_plans
-    if options.autotune:
-        program.meta["autotune"] = options.autotune
-        if options.autotune_device:
-            program.meta["autotune_device"] = options.autotune_device
     program.plan()
     return program

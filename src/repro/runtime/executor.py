@@ -4,9 +4,12 @@ Two backends share one feed-validation front door:
 
 * ``"plan"`` (default) — executes the program's compiled
   :class:`~repro.runtime.plan.ExecutionPlan`: slot-indexed registers,
-  pre-bound kernels, precomputed free-lists, and a per-executor
-  :class:`~repro.runtime.plan.BufferArena` recycling intermediate buffers
-  across steps. Transient-byte accounting was simulated at plan-build time
+  pre-bound kernels, precomputed free-lists, plan-owned constants hoisted
+  from frozen weights, and a per-executor
+  :class:`~repro.runtime.plan.BufferArena` recycling intermediate output
+  buffers across steps. Kernels allocate their own internal scratch
+  (im2col columns, pad buffers) with ``np.empty``, exactly as under the
+  interpreter. Transient-byte accounting was simulated at plan-build time
   (byte-exact against the interpreter), so the step itself does none.
 * ``"interpreter"`` — the legacy per-node loop, kept as the cross-check
   oracle for the plan path and as the backend of :func:`interpret`. It is
@@ -29,7 +32,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..ir import Graph
 from ..ir.node import Node
-from ..kernels import run_op, workspace
+from ..kernels import run_op
 from ..ir.ops import get_schema
 from .plan import BufferArena, ExecutionPlan
 from .program import Program
@@ -67,12 +70,6 @@ class Executor:
         self.last_step_fresh_allocs = 0
         #: per-executor recycling pool — sessions never share buffers
         self.arena = BufferArena()
-        #: kernel-internal scratch pool (im2col columns, pad buffers);
-        #: installed thread-locally around plan runs so kernels recycle
-        #: their workspaces without a calling-convention change. Uncapped
-        #: (caps=None): pool size is bounded by the kernels' own
-        #: take/give discipline plus the per-buffer workspace size cap.
-        self.workspace = BufferArena()
         self._registers: list[np.ndarray | None] | None = None
         #: per-executor cache of plan-owned precomputed constants
         #: (slot -> (source state array, transformed value)). Keyed by the
@@ -155,15 +152,7 @@ class Executor:
                 self._precomputed[slot] = cached
             regs[slot] = cached[1]
 
-        # Kernels borrow internal scratch (im2col columns, pad buffers)
-        # from this executor's workspace pool for the duration of the run;
-        # the interpreter backend deliberately does not install one, so it
-        # stays the allocation-naive oracle.
-        previous_workspace = workspace.set_arena(self.workspace)
-        try:
-            fresh_allocs = self._execute_instructions(plan, regs)
-        finally:
-            workspace.set_arena(previous_workspace)
+        fresh_allocs = self._execute_instructions(plan, regs)
 
         self.peak_transient_bytes = plan.peak_transient_bytes
         self.last_transient_bytes = plan.final_transient_bytes
@@ -181,14 +170,8 @@ class Executor:
         timed = observer is not None or instr_observer is not None
         fresh_allocs = 0
         perf_counter = time.perf_counter
-        state = self.program.state
         for instr in plan.instructions:
             inputs = [regs[slot] for slot in instr.input_slots]
-            # Scalar-constant folded inputs: spliced from live state (the
-            # overlay's value, not a baked copy) at their original
-            # positions, so the kernel sees the exact pre-fold input list.
-            for pos, name in instr.const_args:
-                inputs.insert(pos, state[name])
             began = perf_counter() if timed else 0.0
             try:
                 out_fn = instr.out_kernel

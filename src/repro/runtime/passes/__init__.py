@@ -1,35 +1,25 @@
-"""The plan-lowering pass pipeline: ``lower -> [passes] -> allocate``.
+"""The plan-lowering pass pipeline: ``lower -> precompute_frozen -> allocate``.
 
 This package is the optimizing half of plan construction
 (:func:`repro.runtime.plan.build_plan_spec` delegates here):
 
 * :mod:`lower` — scheduled graph -> linear instruction stream (names, no
   slots yet);
-* optimization passes, each ``fn(stream, ctx) -> (stream, stats)``:
-
-  - :mod:`fuse_elementwise` — collapse producer->sole-consumer
-    elementwise runs (adjacent chains, then effect-analysis-proven
-    non-adjacent merges) into single fused instructions (the
-    intermediate slots vanish);
-  - :mod:`fold_scalars` — bake frozen shape-() state out of the
-    register/slot machinery into per-instruction const splices;
-  - :mod:`precompute_frozen` — hoist frozen-weight computation
-    (Winograd transforms, 1x1 im2col operands, pre-transposed matmul
-    operands) into plan-owned constant slots bound once per session;
-  - :mod:`autotune` — per-instruction kernel-variant selection against
-    the device cost model (optionally confirmed by cached on-host
-    microbenchmarks); runs when ``CompileOptions.autotune`` is set, not
-    in :data:`DEFAULT_PASSES`;
-
+* :mod:`precompute_frozen` — the one optimization pass, of the form
+  ``fn(stream, ctx) -> (stream, stats)``: it hoists frozen-weight
+  computation (Winograd transforms, 1x1 im2col operands, pre-transposed
+  matmul operands) into plan-owned constant slots bound once per
+  session;
 * :mod:`allocate` — slots, free-lists, arena caps, and the static
-  transient-byte accounting, computed *after* the passes so the numbers
+  transient-byte accounting, computed *after* the pass so the numbers
   describe the optimized stream.
 
 Adding a pass: write ``fn(stream, ctx) -> (stream, stats)`` in a new
 module, register it in :data:`PASSES`, and (if it should run by default)
 append its name to :data:`DEFAULT_PASSES`. The equivalence contract every
 pass must honour: byte-identical outputs and mutable state versus the
-unoptimized stream, for any program.
+unoptimized stream, for any program. A pass stays only while a paired
+measurement shows it pays.
 
 Pass selection (``CompileOptions.plan_passes`` / the ``passes=`` argument
 throughout the runtime): ``"default"`` runs :data:`DEFAULT_PASSES`,
@@ -45,26 +35,16 @@ from typing import Any, Sequence
 from ...errors import ExecutionError
 from ..plan import PlanSpec
 from .allocate import allocate
-from .autotune import autotune
-from .fold_scalars import fold_scalars
-from .fuse_elementwise import fuse_elementwise
 from .lower import LoweredOp, LoweringContext, lower
 from .precompute_frozen import precompute_frozen
 
 #: name -> pass fn(stream, ctx) -> (stream, stats)
 PASSES = {
-    "fuse_elementwise": fuse_elementwise,
-    "fold_scalars": fold_scalars,
     "precompute_frozen": precompute_frozen,
-    "autotune": autotune,
 }
 
-#: the pipeline ``passes="default"`` runs, in order. ``fold_scalars``
-#: runs after fusion so folded positions splice into assembled (fused)
-#: input lists; ``autotune`` is opt-in via ``CompileOptions.autotune``
-#: (run_pipeline appends it), never part of the default set.
-DEFAULT_PASSES: tuple[str, ...] = (
-    "fuse_elementwise", "fold_scalars", "precompute_frozen")
+#: the pipeline ``passes="default"`` runs, in order
+DEFAULT_PASSES: tuple[str, ...] = ("precompute_frozen",)
 
 
 def resolve_passes(passes: Any) -> tuple[str, ...]:
@@ -119,11 +99,6 @@ def run_pipeline(program, passes: Any = None,
     if passes is None:
         passes = program.meta.get("plan_passes")
     names = resolve_passes(passes)
-    # CompileOptions.autotune opts the compile into variant selection:
-    # append the pass unless already requested explicitly. passes="none"
-    # stays untouched — that configuration is the byte-exactness oracle.
-    if program.meta.get("autotune") and names and "autotune" not in names:
-        names = names + ("autotune",)
     if verify is None:
         verify = program.meta.get("verify_plans")
     if verify is None:
@@ -170,9 +145,6 @@ __all__ = [
     "LoweringContext",
     "PASSES",
     "allocate",
-    "autotune",
-    "fold_scalars",
-    "fuse_elementwise",
     "lower",
     "precompute_frozen",
     "resolve_passes",

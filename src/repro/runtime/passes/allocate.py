@@ -1,9 +1,9 @@
 """Final lowering stage: slots, free-lists, arena caps, byte accounting.
 
 Runs *after* the optimization passes, so everything it derives describes
-the optimized stream: fused-away intermediates get no slot and no bytes,
-free-lists reference the instructions that actually execute, and arena
-caps count the buffers the fused stream can really re-request. For a
+the stream that actually executes: precomputed constants get their own
+slots, free-lists reference the instructions that run, and arena caps
+count the buffers the stream can really re-request. For a
 ``passes="none"`` pipeline this reproduces the legacy monolithic lowering
 (and hence the interpreter's measured byte timeline) exactly — that
 equality is pinned by the plan equivalence tests.
@@ -17,7 +17,6 @@ from ...kernels import (DONATED_INPUTS, DONATING_KERNELS, OUT_ALIAS_SAFE,
                         OUT_KERNELS)
 from ..plan import (ArenaKey, InstructionSpec, PlanSpec, PrecomputedSpec,
                     VARIANT_BASE, VARIANT_DONATING, arena_key_for)
-from .fuse_elementwise import donatable_inputs
 from .lower import LoweredOp, LoweringContext
 
 
@@ -36,26 +35,12 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             slot = slots[name] = len(slots)
         return slot
 
-    # State whose every use was scalar-constant folded needs no register
-    # slot (and no per-step rebind): the executor splices the live state
-    # value straight into the kernel's inputs. Anything still referenced
-    # by an instruction or returned to the caller keeps its slot.
-    folded_states = {name for op in stream for _, name in op.const_inputs}
-    if folded_states:
-        referenced = set(keep)
-        for op in stream:
-            referenced.update(op.inputs)
-            referenced.update(op.outputs)
-        folded_states -= referenced
-
     for name in graph.inputs:
         slot_of(name)
     for name in sorted(state_names):
-        if name not in folded_states:
-            slot_of(name)
+        slot_of(name)
 
-    # Producer/consumer facts over the *optimized* stream (fused chains
-    # consume their deduplicated external inputs once each).
+    # Producer/consumer facts over the stream.
     producer: dict[str, LoweredOp] = {}
     consumers: dict[str, list[LoweredOp]] = {}
     counts: dict[str, int] = {}
@@ -125,16 +110,13 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
                 dying_inputs.append(name)
 
         # out= + donation: single-output ops with a registered out-variant
-        # (every fused chain has one by construction) get a recycled arena
-        # buffer; alias-safe ones may instead write straight into a
-        # same-shape input dying at this instruction. For fused chains
-        # only inputs read exclusively by the first link are donation-
-        # eligible — a later link would read the clobbered buffer.
+        # get a recycled arena buffer; alias-safe ones may instead write
+        # straight into a same-shape input dying at this instruction.
         use_out = False
         out_shape = out_dtype = None
         donate_slot = -1
         if not inplace and len(op.outputs) == 1 \
-                and (op.fused is not None or op.kernel in OUT_KERNELS):
+                and op.kernel in OUT_KERNELS:
             use_out = True
             out_name = op.outputs[0]
             out_spec = ctx.spec(out_name)
@@ -144,23 +126,12 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
             # kernel writes element-for-element into the donated buffer);
             # the arena's byte-bucketing never applies here.
             out_form = (out_shape, np.dtype(out_dtype))
-            if op.fused is not None:
-                # Fused link args index the assembled input list (folded
-                # scalar constants spliced back in), not ``op.inputs``.
-                assembled = list(op.inputs)
-                for pos, const_name in op.const_inputs:
-                    assembled.insert(pos, const_name)
-                safe_idx = donatable_inputs(op)
-                donate_ok = {assembled[i] for i in safe_idx}
-            elif op.kernel in OUT_ALIAS_SAFE:
-                donate_ok = set(op.inputs)
-            else:
-                donate_ok = set()
-            for name in dying_inputs:
-                if name in donate_ok and recyclable(name) \
-                        and ctx.shape_dtype(name) == out_form:
-                    donate_slot = slots[name]
-                    break
+            if op.kernel in OUT_ALIAS_SAFE:
+                for name in dying_inputs:
+                    if recyclable(name) \
+                            and ctx.shape_dtype(name) == out_form:
+                        donate_slot = slots[name]
+                        break
 
         variant = VARIANT_BASE
         if op.precompute is not None:
@@ -175,7 +146,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
                     shape=op.precompute.shape,
                     dtype=op.precompute.dtype)
             input_slots = input_slots + (entry.slot,)
-        elif op.fused is None and op.kernel in DONATING_KERNELS:
+        elif op.kernel in DONATING_KERNELS:
             clobbered = DONATED_INPUTS[op.kernel]
             if all(i < len(op.inputs)
                    and op.inputs[i] in dying_inputs
@@ -191,23 +162,15 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
                 frees.append((slot, ctx.arena_key(name)
                               if recyclable(name) else None))
 
-        if inplace:
-            fresh = 0
-        elif op.fused is not None:
-            # The base-kernel fallback (non-contiguous inputs) really does
-            # materialise every link; the out= path allocates at most one.
-            fresh = len(op.fused)
-        else:
-            fresh = len(op.outputs)
         instructions.append(InstructionSpec(
             node=op.node, kernel=op.kernel, variant=variant,
             input_slots=input_slots, output_slots=output_slots,
             use_out=use_out, out_shape=out_shape, out_dtype=out_dtype,
             donate_slot=donate_slot, check_state_slots=check_state_slots,
-            frees=tuple(frees), fresh_outputs=fresh, fused=op.fused,
-            const_args=tuple(sorted(op.const_inputs))))
+            frees=tuple(frees),
+            fresh_outputs=0 if inplace else len(op.outputs)))
 
-    state_slots = {slots[name] for name in state_names if name in slots}
+    state_slots = {slots[name] for name in state_names}
     pre_slots = {entry.slot for entry in precomputed.values()}
     clear_slots = tuple(slot for name, slot in slots.items()
                         if slot not in state_slots and slot not in pre_slots)
@@ -221,8 +184,7 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
         num_slots=len(slots),
         feed_specs=tuple((name, slots[name]) for name in graph.inputs),
         state_bindings=tuple(
-            (slots[name], name) for name in sorted(state_names)
-            if name in slots),
+            (slots[name], name) for name in sorted(state_names)),
         output_slots=tuple((name, slots[name])
                            for name in ctx.program.outputs),
         clear_slots=clear_slots,
@@ -234,5 +196,4 @@ def allocate(stream: list[LoweredOp], ctx: LoweringContext,
         passes=passes,
         precomputed=entries,
         precomputed_bytes=sum(entry.nbytes for entry in entries),
-        tuned_variants=tuple(ctx.tuned),
     )

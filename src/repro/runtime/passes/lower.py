@@ -21,12 +21,12 @@ import numpy as np
 from ...errors import ExecutionError
 from ...ir.ops import get_schema
 from ...kernels import KERNELS, VIEW_OPS
-from ..plan import ArenaKey, FusedLinkSpec, TunedVariantSpec, arena_key_for
+from ..plan import ArenaKey, arena_key_for
 
 
 @dataclass(frozen=True)
 class PrecomputeRequest:
-    """A pass's request for a plan-owned constant slot (pre-allocation).
+    """A request for a plan-owned constant slot (pre-allocation).
 
     ``allocate`` turns this into a :class:`~repro.runtime.plan.
     PrecomputedSpec` (assigning the slot, deduplicating identical
@@ -45,32 +45,23 @@ class PrecomputeRequest:
 class LoweredOp:
     """One pre-allocation instruction: names in, names out.
 
-    ``fused`` (set by fuse_elementwise) lists the constituent elementwise
-    links; ``precompute`` (set by precompute_frozen, possibly vetoed by
-    autotune) requests a hoisted constant input. At most one of the two is
-    ever set — fusable ops are elementwise, precomputable ones are
-    convolutions/matmuls. ``const_inputs`` (set by fold_scalars) lists
-    (position, state name) pairs folded out of ``inputs``: the positions
-    index the *assembled* input list the kernel sees, so splicing the
-    state values back in reconstructs the pre-fold list exactly (fused
-    link args therefore stay valid unchanged).
+    ``precompute`` (set by precompute_frozen) requests a hoisted constant
+    input.
     """
 
     node: str
     kernel: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    fused: tuple[FusedLinkSpec, ...] | None = None
     precompute: PrecomputeRequest | None = None
-    const_inputs: tuple[tuple[int, str], ...] = ()
 
     @property
     def is_view(self) -> bool:
-        return self.fused is None and self.kernel in VIEW_OPS
+        return self.kernel in VIEW_OPS
 
     @property
     def is_inplace(self) -> bool:
-        return self.fused is None and get_schema(self.kernel).inplace
+        return get_schema(self.kernel).inplace
 
 
 @dataclass
@@ -87,9 +78,6 @@ class LoweringContext:
         self.keep = set(program.outputs)
         self.mutable_state = program.mutable_state_names()
         self.nodes = {node.name: node for node in program.schedule}
-        #: autotune decisions accumulated by the autotune pass; allocate
-        #: embeds them into the PlanSpec's ``tuned_variants`` table
-        self.tuned: list[TunedVariantSpec] = []
 
     def spec(self, name: str):
         value = self._specs.get(name)

@@ -152,7 +152,7 @@ def _hoist_pretransposed(op: LoweredOp, ctx: LoweringContext) -> int:
 
 def precompute_frozen(stream: list[LoweredOp], ctx: LoweringContext
                       ) -> tuple[list[LoweredOp], dict]:
-    """Annotate eligible frozen-weight ops; returns (stream, stats)."""
+    """Hoist every eligible frozen-weight op; returns (stream, stats)."""
     winograd_ok = _registered("conv2d", _WINOGRAD_VARIANT,
                               _WINOGRAD_TRANSFORM)
     im2col_ok = _registered("conv2d", _IM2COL_VARIANT, _IM2COL_TRANSFORM)
@@ -161,8 +161,7 @@ def precompute_frozen(stream: list[LoweredOp], ctx: LoweringContext
     hoisted: dict[str, int] = {}
     hoisted_bytes = 0
     for op in stream:
-        if op.fused is not None or op.precompute is not None \
-                or op.const_inputs:
+        if op.precompute is not None:
             continue
         added = 0
         if op.kernel == "conv2d" and len(op.inputs) >= 2:
@@ -172,7 +171,7 @@ def precompute_frozen(stream: list[LoweredOp], ctx: LoweringContext
                 added = _hoist_im2col(op, ctx)
         elif op.kernel == "matmul" and pretrans_ok:
             added = _hoist_pretransposed(op, ctx)
-        if added and op.precompute is not None:
+        if added:
             hoisted[op.precompute.variant] = \
                 hoisted.get(op.precompute.variant, 0) + 1
             hoisted_bytes += added

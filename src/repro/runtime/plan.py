@@ -27,14 +27,15 @@ is precomputed:
   or mutable state.
 
 Lowering itself is a staged **pass pipeline** (:mod:`repro.runtime.passes`):
-``lower`` turns the scheduled graph into a linear stream, optimization
-passes rewrite that stream (fusing adjacent elementwise instructions,
-hoisting Winograd weight transforms for frozen parameters into plan-owned
-precomputed slots), and ``allocate`` assigns slots, free-lists, arena caps
-and the static byte accounting *after* optimization so the numbers reflect
-the stream that actually runs. ``passes="none"`` skips every optimization
-pass and reproduces the interpreter's accounting byte-exactly — the oracle
-configuration the equivalence tests pin everything else against.
+``lower`` turns the scheduled graph into a linear stream,
+``precompute_frozen`` hoists frozen-weight computation (Winograd weight
+transforms, flattened 1x1 weights, pre-transposed matmul operands) into
+plan-owned precomputed slots, and ``allocate`` assigns slots, free-lists,
+arena caps and the static byte accounting *after* that, so the numbers
+reflect the stream that actually runs. ``passes="none"`` skips the
+optimization pass and reproduces the interpreter's accounting
+byte-exactly — the oracle configuration the equivalence tests pin
+everything else against.
 
 The lowering is split in two so plans are **portable**:
 
@@ -42,10 +43,9 @@ The lowering is split in two so plans are **portable**:
   kernels (and the passes that shaped it), it never holds them.
   ``to_dict``/``from_dict`` round-trip it through deployment artifacts
   (:mod:`repro.deploy.artifact`), so a plan compiled in one process
-  executes in another that never imports the compiler. Version-1 specs
-  (pre-pipeline) still load through a compat shim; versions this runtime
-  does not speak raise :class:`~repro.errors.PlanVersionError` so callers
-  like the program cache can fall back to recompilation.
+  executes in another that never imports the compiler. A version this
+  runtime does not speak raises :class:`~repro.errors.PlanVersionError`
+  so callers like the program cache can fall back to recompilation.
 * :func:`bind_plan` is the thin load-time step that resolves those names
   against the live registries in :mod:`repro.kernels` and produces the
   executable :class:`ExecutionPlan`.
@@ -68,25 +68,18 @@ import numpy as np
 from ..errors import ExecutionError, PlanVersionError
 from ..ir.node import Node
 from ..kernels import (DONATING_KERNELS, KERNELS, OUT_KERNELS,
-                       PRECOMPUTE_TRANSFORMS, VARIANT_KERNELS,
-                       make_fused_kernel)
+                       PRECOMPUTE_TRANSFORMS, VARIANT_KERNELS)
 
-#: arena bucket key: (nbytes, dtype). Byte-bucketing (spec v3) lets a
-#: freed buffer of one shape satisfy a later request of another shape with
-#: the same byte count — the executor reshapes the (always C-contiguous)
-#: pooled buffer, a free view. Exact-shape matching (spec v2) recycled
-#: nothing across shape boundaries even when the bytes lined up.
+#: arena bucket key: (nbytes, dtype). Byte-bucketing lets a freed buffer
+#: of one shape satisfy a later request of another shape with the same
+#: byte count — the executor reshapes the (always C-contiguous) pooled
+#: buffer, a free view.
 ArenaKey = tuple[int, Any]
 
-#: bump when the serialized PlanSpec layout changes incompatibly.
-#: v1: flat instruction stream, no pass pipeline. v2: records applied
-#: passes, fused instruction forms, and precomputed constant slots.
-#: v3: byte-bucketed arena keys, scalar-constant folded inputs
-#: (``const_args``), and the autotune decision table (``tuned_variants``).
-PLAN_SPEC_VERSION = 3
-
-#: versions :meth:`PlanSpec.from_dict` can still decode (v1/v2 via shims)
-SUPPORTED_PLAN_SPEC_VERSIONS = (1, 2, 3)
+#: bump when the serialized PlanSpec layout changes incompatibly; only
+#: this version decodes (older artifacts are recompiled, never shimmed).
+#: v4: no fused instructions, const-folded inputs, or tuning table.
+PLAN_SPEC_VERSION = 4
 
 #: kernel variants an instruction may reference (resolved at bind time);
 #: anything else is looked up in :data:`repro.kernels.VARIANT_KERNELS`
@@ -150,68 +143,6 @@ class BufferArena:
 
 
 @dataclass(frozen=True)
-class FusedLinkSpec:
-    """One constituent op of a fused elementwise instruction.
-
-    ``args`` maps the link's kernel inputs onto the fused instruction:
-    ``None`` means "the previous link's result" (held in the shared output
-    buffer on the ``out=`` path), an int indexes the instruction's
-    ``input_slots``.
-    """
-
-    node: str                       #: schedule node this link came from
-    kernel: str                     #: kernel registry name (== op type)
-    args: tuple[int | None, ...]
-
-    def to_dict(self) -> list:
-        return [self.node, self.kernel, list(self.args)]
-
-    @classmethod
-    def from_dict(cls, doc: list) -> "FusedLinkSpec":
-        node, op, args = doc
-        return cls(node=node, kernel=op,
-                   args=tuple(None if a is None else int(a) for a in args))
-
-
-@dataclass(frozen=True)
-class TunedVariantSpec:
-    """One autotune decision: which kernel variant an instruction runs.
-
-    Emitted by the ``autotune`` pass for every instruction that had more
-    than one applicable variant. ``variant`` is what the plan actually
-    binds (it may be ``base`` — keeping the default *is* a decision).
-    ``predicted_us`` comes from the :mod:`repro.devices.cost` model;
-    ``measured_us`` is filled in only under
-    ``CompileOptions(autotune="measure")``.
-    """
-
-    node: str                       #: instruction this decision applies to
-    kernel: str                     #: kernel registry name (== op type)
-    variant: str                    #: the chosen variant
-    predicted_us: float
-    measured_us: float | None = None
-    #: how the winner was picked: ``cost`` (model only) or ``measure``
-    source: str = "cost"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"node": self.node, "kernel": self.kernel,
-                "variant": self.variant,
-                "predicted_us": self.predicted_us,
-                "measured_us": self.measured_us,
-                "source": self.source}
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "TunedVariantSpec":
-        measured = doc.get("measured_us")
-        return cls(node=doc["node"], kernel=doc["kernel"],
-                   variant=doc["variant"],
-                   predicted_us=float(doc["predicted_us"]),
-                   measured_us=float(measured)
-                   if measured is not None else None,
-                   source=doc.get("source", "cost"))
-
-
-@dataclass(frozen=True)
 class PrecomputedSpec:
     """A plan-owned constant slot derived from frozen state at bind time.
 
@@ -256,12 +187,9 @@ class InstructionSpec:
     plus ``variant`` (:data:`VARIANT_BASE`, :data:`VARIANT_DONATING`, or a
     :data:`repro.kernels.VARIANT_KERNELS` name) and ``use_out`` (whether
     the ``out=`` variant from :data:`repro.kernels.OUT_KERNELS` drives this
-    instruction when inputs are contiguous). ``fused`` (when set) lists the
-    elementwise links this instruction collapsed; the bound kernel then
-    runs the whole chain through one shared buffer and no intermediate
-    slot exists at all. Attributes and input/output names live on the
-    graph nodes the specs refer to — the artifact ships the graph anyway,
-    so the spec never duplicates them.
+    instruction when inputs are contiguous). Attributes and input/output
+    names live on the graph nodes the specs refer to — the artifact ships
+    the graph anyway, so the spec never duplicates them.
     """
 
     node: str                       #: schedule node name
@@ -276,16 +204,9 @@ class InstructionSpec:
     check_state_slots: tuple[int, ...]
     frees: tuple[tuple[int, ArenaKey | None], ...]
     fresh_outputs: int
-    fused: tuple[FusedLinkSpec, ...] | None = None
-    #: scalar-constant folded inputs: (position, state name) pairs. The
-    #: executor assembles the kernel's input list by inserting
-    #: ``program.state[name]`` (a live lookup — overlay-safe by
-    #: construction) at ``position``; ``input_slots`` covers the remaining
-    #: positions in order. Folded states need no register slot at all.
-    const_args: tuple[tuple[int, str], ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
-        doc = {
+        return {
             "node": self.node,
             "kernel": self.kernel,
             "variant": self.variant,
@@ -300,17 +221,10 @@ class InstructionSpec:
             "frees": [[slot, _key_to_json(key)] for slot, key in self.frees],
             "fresh_outputs": self.fresh_outputs,
         }
-        if self.fused is not None:
-            doc["fused"] = [link.to_dict() for link in self.fused]
-        if self.const_args:
-            doc["const_args"] = [[pos, name]
-                                 for pos, name in self.const_args]
-        return doc
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "InstructionSpec":
         try:
-            fused_doc = doc.get("fused")
             return cls(
                 node=doc["node"],
                 kernel=doc["kernel"],
@@ -326,11 +240,6 @@ class InstructionSpec:
                 frees=tuple((int(slot), _key_from_json(key))
                             for slot, key in doc["frees"]),
                 fresh_outputs=int(doc["fresh_outputs"]),
-                fused=tuple(FusedLinkSpec.from_dict(entry)
-                            for entry in fused_doc)
-                if fused_doc is not None else None,
-                const_args=tuple((int(pos), name) for pos, name
-                                 in doc.get("const_args", ())),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ExecutionError(
@@ -366,9 +275,6 @@ class PlanSpec:
     #: resident bytes the precomputed slots add (not transient — they live
     #: for the plan's lifetime, like state)
     precomputed_bytes: int = 0
-    #: autotune decision table (empty unless the ``autotune`` pass ran):
-    #: one entry per instruction that had more than one applicable variant
-    tuned_variants: tuple[TunedVariantSpec, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe encoding (embedded in artifact manifests)."""
@@ -389,20 +295,11 @@ class PlanSpec:
             "passes": list(self.passes),
             "precomputed": [entry.to_dict() for entry in self.precomputed],
             "precomputed_bytes": self.precomputed_bytes,
-            "tuned_variants": [entry.to_dict()
-                               for entry in self.tuned_variants],
         }
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "PlanSpec":
-        """Inverse of :meth:`to_dict`, with a v1 compat shim.
-
-        Version-1 documents (written before the pass pipeline existed)
-        decode to a spec with no passes, no fused instructions, and no
-        precomputed slots — exactly the stream they always described.
-        Version-2 documents keyed their arena on exact shapes; the shim
-        converts every key to its byte bucket and merges pool caps that
-        collapse onto the same bucket, which only ever widens reuse.
+        """Inverse of :meth:`to_dict`.
 
         Raises:
             PlanVersionError: when the document speaks a plan version this
@@ -410,17 +307,11 @@ class PlanSpec:
             ExecutionError: on a structurally garbled document.
         """
         version = doc.get("plan_version")
-        if version not in SUPPORTED_PLAN_SPEC_VERSIONS:
+        if version != PLAN_SPEC_VERSION:
             raise PlanVersionError(
                 f"unsupported plan spec version {version!r} "
-                f"(runtime speaks {SUPPORTED_PLAN_SPEC_VERSIONS})")
+                f"(runtime speaks {PLAN_SPEC_VERSION})")
         try:
-            # Legacy shape-keyed caps can collide once byte-bucketed; sum
-            # the counts (first-seen order) so no pool shrinks.
-            caps: dict[ArenaKey, int] = {}
-            for key_doc, count in doc["arena_caps"]:
-                key = _key_from_json(key_doc)
-                caps[key] = caps.get(key, 0) + int(count)
             return cls(
                 num_slots=int(doc["num_slots"]),
                 feed_specs=tuple((name, int(slot))
@@ -430,18 +321,16 @@ class PlanSpec:
                 output_slots=tuple((name, int(slot))
                                    for name, slot in doc["output_slots"]),
                 clear_slots=tuple(doc["clear_slots"]),
-                arena_caps=tuple(caps.items()),
+                arena_caps=tuple((_key_from_json(key), int(count))
+                                 for key, count in doc["arena_caps"]),
                 peak_transient_bytes=int(doc["peak_transient_bytes"]),
                 final_transient_bytes=int(doc["final_transient_bytes"]),
                 instructions=tuple(InstructionSpec.from_dict(entry)
                                    for entry in doc["instructions"]),
-                passes=tuple(doc.get("passes", ())),
+                passes=tuple(doc["passes"]),
                 precomputed=tuple(PrecomputedSpec.from_dict(entry)
-                                  for entry in doc.get("precomputed", ())),
-                precomputed_bytes=int(doc.get("precomputed_bytes", 0)),
-                tuned_variants=tuple(
-                    TunedVariantSpec.from_dict(entry)
-                    for entry in doc.get("tuned_variants", ())),
+                                  for entry in doc["precomputed"]),
+                precomputed_bytes=int(doc["precomputed_bytes"]),
             )
         except ExecutionError:
             raise
@@ -452,18 +341,11 @@ class PlanSpec:
         """Kernel registry names -> the variants this plan binds.
 
         Variants: ``base``, ``donating``, ``out``, plus any registered
-        special variant (``winograd_precomputed``). Fused instructions
-        contribute their constituent links (each needing ``base`` and
-        ``out``). What a runtime must provide to execute the plan (the
-        deployment manifest records it).
+        special variant (``winograd_precomputed``). What a runtime must
+        provide to execute the plan (the deployment manifest records it).
         """
         needed: dict[str, set[str]] = {}
         for instr in self.instructions:
-            if instr.fused is not None:
-                for link in instr.fused:
-                    variants = needed.setdefault(link.kernel, set())
-                    variants.update(("base", "out"))
-                continue
             variants = needed.setdefault(instr.kernel, set())
             variants.add(instr.variant)
             if instr.use_out:
@@ -494,10 +376,8 @@ def _key_to_json(key: ArenaKey | None) -> list | None:
 def _key_from_json(doc: list | None) -> ArenaKey | None:
     if doc is None:
         return None
-    head, dtype = doc
-    if isinstance(head, (list, tuple)):  # v1/v2: exact-shape key
-        return arena_key_for(tuple(int(d) for d in head), dtype)
-    return (int(head), np.dtype(dtype))
+    nbytes, dtype = doc
+    return (int(nbytes), np.dtype(dtype))
 
 
 class Instruction:
@@ -506,19 +386,18 @@ class Instruction:
     __slots__ = ("node", "kernel", "attrs", "input_slots", "output_slots",
                  "out_kernel", "out_key", "out_shape", "out_dtype",
                  "donate_slot", "check_state_slots", "frees",
-                 "fresh_outputs", "variant", "const_args")
+                 "fresh_outputs", "variant")
 
     def __init__(self, node: Node, kernel, attrs, input_slots, output_slots,
                  out_kernel, out_key, out_shape, out_dtype, donate_slot,
                  check_state_slots, frees, fresh_outputs,
-                 variant: str = VARIANT_BASE, const_args=()) -> None:
+                 variant: str = VARIANT_BASE) -> None:
         self.node = node
         self.kernel = kernel
         self.attrs = attrs
         self.input_slots = input_slots
         self.output_slots = output_slots
-        #: out=-writing variant (single-output, non-inplace ops only; for
-        #: fused instructions this runs the whole chain through one buffer)
+        #: out=-writing variant (single-output, non-inplace ops only)
         self.out_kernel = out_kernel
         self.out_key = out_key
         self.out_shape = out_shape
@@ -533,13 +412,9 @@ class Instruction:
         #: non-inplace outputs allocated fresh when the out= path is not
         #: taken (feeds the steady-state allocation metric)
         self.fresh_outputs = fresh_outputs
-        #: kernel-variant label for profiling ("base", "donating",
-        #: "fused", or a registry variant like "winograd_precomputed")
+        #: kernel-variant label for profiling ("base", "donating", or a
+        #: registry variant like "winograd_precomputed")
         self.variant = variant
-        #: (position, state name) scalar constants folded out of the slot
-        #: space — the executor splices live state values in at these
-        #: positions when assembling the kernel's inputs
-        self.const_args = const_args
 
 
 class ExecutionPlan:
@@ -607,10 +482,8 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
     ``nodes`` maps schedule node names to their :class:`~repro.ir.node.
     Node` objects (attributes and the observer identity come from there).
     This is the *entire* load-time step — no graph analysis, no compiler.
-    Fused instructions bind each constituent link's base and ``out=``
-    kernels into one chain executor; precomputed slots bind their
-    transform functions (the executor applies them lazily, once per
-    session).
+    Precomputed slots bind their transform functions (the executor applies
+    them lazily, once per session).
 
     Raises:
         ExecutionError: when the spec references a node the schedule lacks,
@@ -628,11 +501,7 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
                 f"plan instruction {ispec.node!r} binds kernel "
                 f"{ispec.kernel!r} but the node is {node.op_type!r}")
         out_kernel = out_key = out_shape = out_dtype = None
-        attrs = node.attrs
-        if ispec.fused is not None:
-            kernel, out_kernel = _bind_fused(ispec, nodes)
-            attrs = {}
-        elif ispec.variant == VARIANT_DONATING:
+        if ispec.variant == VARIANT_DONATING:
             kernel = DONATING_KERNELS.get(ispec.kernel)
         elif ispec.variant == VARIANT_BASE:
             kernel = KERNELS.get(ispec.kernel)
@@ -647,23 +516,20 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
                 f"runtime lacks {ispec.variant!r} kernel for "
                 f"{ispec.kernel!r}")
         if ispec.use_out:
-            if out_kernel is None:  # fused chains bound theirs above
-                out_kernel = OUT_KERNELS.get(ispec.kernel)
-                if out_kernel is None:
-                    raise ExecutionError(
-                        f"runtime lacks out= kernel for {ispec.kernel!r}")
+            out_kernel = OUT_KERNELS.get(ispec.kernel)
+            if out_kernel is None:
+                raise ExecutionError(
+                    f"runtime lacks out= kernel for {ispec.kernel!r}")
             out_shape = ispec.out_shape
             out_dtype = np.dtype(ispec.out_dtype)
             out_key = arena_key_for(out_shape, out_dtype)
         instructions.append(Instruction(
-            node=node, kernel=kernel, attrs=attrs,
+            node=node, kernel=kernel, attrs=node.attrs,
             input_slots=ispec.input_slots, output_slots=ispec.output_slots,
             out_kernel=out_kernel, out_key=out_key, out_shape=out_shape,
             out_dtype=out_dtype, donate_slot=ispec.donate_slot,
             check_state_slots=ispec.check_state_slots, frees=ispec.frees,
-            fresh_outputs=ispec.fresh_outputs,
-            variant="fused" if ispec.fused is not None else ispec.variant,
-            const_args=ispec.const_args))
+            fresh_outputs=ispec.fresh_outputs, variant=ispec.variant))
     precomputed = []
     for entry in spec.precomputed:
         transform = PRECOMPUTE_TRANSFORMS.get(entry.transform)
@@ -685,29 +551,6 @@ def bind_plan(spec: PlanSpec, nodes: Mapping[str, Node]) -> ExecutionPlan:
         precomputed=tuple(precomputed),
         passes=spec.passes,
     )
-
-
-def _bind_fused(ispec: InstructionSpec, nodes: Mapping[str, Node]):
-    """Bind one fused instruction's links into chain-executing callables."""
-    links = []
-    for link in ispec.fused:
-        node = nodes.get(link.node)
-        if node is None:
-            raise ExecutionError(
-                f"fused instruction {ispec.node!r} references unknown "
-                f"node {link.node!r}")
-        if node.op_type != link.kernel:
-            raise ExecutionError(
-                f"fused link {link.node!r} binds kernel {link.kernel!r} "
-                f"but the node is {node.op_type!r}")
-        base = KERNELS.get(link.kernel)
-        out = OUT_KERNELS.get(link.kernel)
-        if base is None or out is None:
-            raise ExecutionError(
-                f"runtime lacks base/out kernels for fused link "
-                f"{link.kernel!r}")
-        links.append((base, out, node.attrs, link.args))
-    return make_fused_kernel(tuple(links))
 
 
 def build_plan(program, passes: Any = None) -> ExecutionPlan:

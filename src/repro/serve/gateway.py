@@ -619,8 +619,7 @@ class GatewayServer:
                     model_kwargs=payload.get("model_kwargs"),
                 ))
         except ServeError as exc:
-            status = 503 if "closed" in str(exc) else 400
-            self._send_json(request, status, {"error": str(exc)})
+            self._send_json(request, exc.status, {"error": str(exc)})
             return
         except (ReproError, KeyError, ValueError, TypeError) as exc:
             # unknown model, bad kwargs, malformed body: the client's fault
@@ -642,7 +641,7 @@ class GatewayServer:
         try:
             session = self.service.sessions.get(session_id)
         except ServeError as exc:
-            self._send_json(request, 404, {"error": str(exc)})
+            self._send_json(request, exc.status, {"error": str(exc)})
             return
         if self._tenant_mismatch(request, session):
             return
@@ -657,8 +656,7 @@ class GatewayServer:
             summary = self._summary(session)
             await self._offloaded(self.service.close_session, session_id)
         except ServeError as exc:
-            status = 404 if "unknown session" in str(exc) else 409
-            self._send_json(request, status, {"error": str(exc)})
+            self._send_json(request, exc.status, {"error": str(exc)})
             return
         self._send_json(request, 200, summary)
 
@@ -686,11 +684,9 @@ class GatewayServer:
             self._send_json(request, 500, {"error": str(exc)})
             return
         except ServeError as exc:
-            msg = str(exc)
-            # no checkpoint_dir / no restore config: a conflict with how
-            # the server is configured, not a bad request
-            status = 404 if "unknown session" in msg else 409
-            self._send_json(request, status, {"error": msg})
+            # no checkpoint_dir / no restore config raise SessionConflict:
+            # a conflict with how the server is configured (409)
+            self._send_json(request, exc.status, {"error": str(exc)})
             return
         self._send_json(request, 200, meta)
 
@@ -713,9 +709,7 @@ class GatewayServer:
                 self.service.checkpoint_frame if framed
                 else self.service.checkpoint_bytes, session_id)
         except ServeError as exc:
-            msg = str(exc)
-            status = 404 if "unknown session" in msg else 409
-            self._send_json(request, status, {"error": msg})
+            self._send_json(request, exc.status, {"error": str(exc)})
             return
         ctype = wire.CONTENT_TYPE if framed else "application/octet-stream"
         self._send_body(request, 200, data, ctype,
@@ -764,10 +758,7 @@ class GatewayServer:
             self._send_json(request, 422, {"error": str(exc)})
             return
         except ServeError as exc:
-            msg = str(exc)
-            status = 503 if "closed" in msg \
-                else 409 if "already open" in msg else 400
-            self._send_json(request, status, {"error": msg})
+            self._send_json(request, exc.status, {"error": str(exc)})
             return
         except (ValueError, TypeError) as exc:
             self._send_json(request, 400,
@@ -810,7 +801,7 @@ class GatewayServer:
         try:
             session = self.service.sessions.get(session_id)
         except ServeError as exc:
-            self._send_json(request, 404, {"error": str(exc)})
+            self._send_json(request, exc.status, {"error": str(exc)})
             return
         if self._tenant_mismatch(request, session):
             return
@@ -898,8 +889,7 @@ class GatewayServer:
                                            "deadline_expired": True})
             return
         except ServeError as exc:
-            status = 503 if "closed" in str(exc) else 400
-            self._send_json(request, status, {"error": str(exc)})
+            self._send_json(request, exc.status, {"error": str(exc)})
             return
 
         timeout = self.step_timeout

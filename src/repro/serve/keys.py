@@ -34,7 +34,9 @@ from ..train.optim import OptimizerSpec
 #: v3: plan-spec v3 — autotuned variant tables, const-folded scalars, and
 #: byte-bucketed arena keys change what lowering produces for the *same*
 #: options, so every cached artifact must re-prebuild once.
-KEY_VERSION = 3
+#: v4: plan-spec v4 — the default pipeline shrinks to precompute_frozen
+#: and CompileOptions loses its autotune fields.
+KEY_VERSION = 4
 
 
 def scheme_token(scheme: UpdateScheme) -> dict[str, Any]:

@@ -25,13 +25,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
-from ..errors import DeadlineExpired, ServeError
+from ..errors import DeadlineExpired, ServeError, ServiceClosed
 from ..obs import TraceContext
 from .metrics import MetricsRegistry
 from .sessions import TenantSession
@@ -144,6 +144,9 @@ class BatchScheduler:
         self._ready: deque[str] = deque()   # sessions awaiting dispatch
         self._sessions: dict[str, TenantSession] = {}
         self._inflight: set[str] = set()
+        #: batches that left ``_inflight`` but are still resolving their
+        #: futures; drain() waits for them, pending() does not
+        self._settling = 0
         self._closing = False
         self._closed = False
         self._pool = ThreadPoolExecutor(
@@ -177,7 +180,7 @@ class BatchScheduler:
             request.submitted_at = submitted_at
         with self._work:
             if self._closing:
-                raise ServeError("scheduler is closed")
+                raise ServiceClosed("scheduler is closed")
             queue = self._queues.get(session.id)
             if queue is None:
                 queue = self._queues[session.id] = deque()
@@ -193,10 +196,11 @@ class BatchScheduler:
         return request.future
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Block until every queued request has been executed."""
+        """Block until every queued request has been executed and its
+        future settled."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._idle:
-            while self._queues or self._inflight:
+            while self._queues or self._inflight or self._settling:
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -354,6 +358,11 @@ class BatchScheduler:
         # nobody is waiting for these results (the gateway answered 504,
         # or will the moment the future fails), so executing them would
         # only burn a worker a saturated queue needs elsewhere.
+        #
+        # Every outcome is collected here and settled only after the
+        # session leaves the in-flight set (see _settle): a client woken
+        # by its ack must already see ``pending()`` false.
+        outcomes: list[tuple[Future, Any]] = []
         now = time.monotonic()
         expired = [request for request in batch
                    if request.deadline is not None
@@ -365,9 +374,9 @@ class BatchScheduler:
             for request in expired:
                 if request.idem_key is not None:
                     request.session.release(request.idem_key)
-                request.future.set_exception(DeadlineExpired(
+                outcomes.append((request.future, DeadlineExpired(
                     f"deadline passed {now - request.deadline:.3f}s before "
-                    f"the step was cut from the queue"))
+                    f"the step was cut from the queue")))
         cut = time.perf_counter()
         for request in batch:
             request.cut_at = cut
@@ -390,13 +399,12 @@ class BatchScheduler:
                         # that receives the ack and instantly retries the
                         # same key must hit the window, never re-execute.
                         session.remember(request.idem_key, final)
-                    request.future.set_result(final)
+                    outcomes.append((request.future, final))
         except BaseException as exc:  # noqa: BLE001 - futures carry it
             for request in batch:
                 if request.idem_key is not None:
                     request.session.release(request.idem_key)
-                if not request.future.done():
-                    request.future.set_exception(exc)
+                outcomes.append((request.future, exc))
         finally:
             with self._work:
                 self._inflight.discard(session_id)
@@ -404,4 +412,22 @@ class BatchScheduler:
                         and session_id not in self._ready:
                     self._ready.append(session_id)
                     self._work.notify_all()
+                self._settling += 1
+        self._settle(outcomes)
+
+    def _settle(self, outcomes: list[tuple[Future, Any]]) -> None:
+        """Resolve futures, outside the scheduler lock: done-callbacks run
+        inline and may call back into the scheduler (``pending()``)."""
+        try:
+            for future, value in outcomes:
+                try:
+                    if isinstance(value, BaseException):
+                        future.set_exception(value)
+                    else:
+                        future.set_result(value)
+                except InvalidStateError:
+                    pass  # already settled, or cancelled by its client
+        finally:
+            with self._work:
+                self._settling -= 1
                 self._idle.notify_all()

@@ -33,7 +33,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..errors import CheckpointError, DeadlineExpired, ServeError
+from ..errors import (CheckpointError, DeadlineExpired, ServeError,
+                      ServiceClosed, SessionConflict)
 from ..ir import Graph
 from ..models import build_model, paper_scheme
 from ..obs import TraceCarrier, TraceContext, Tracer, render_prometheus
@@ -341,7 +342,7 @@ class FineTuneService:
         """
         session = self.sessions.get(session_id)
         if self.scheduler.pending(session_id):
-            raise ServeError(
+            raise SessionConflict(
                 f"session {session_id} has outstanding step requests; "
                 f"await its futures or drain() before closing"
             )
@@ -367,7 +368,7 @@ class FineTuneService:
         """
         family = session.family
         if family.restore_config is None:
-            raise ServeError(
+            raise SessionConflict(
                 f"session {session.id}: its program family predates "
                 f"checkpoint support and records no restore config")
         with session.lock:
@@ -395,7 +396,7 @@ class FineTuneService:
         persistence use :meth:`checkpoint_bytes`.
         """
         if self.checkpoints is None:
-            raise ServeError(
+            raise SessionConflict(
                 "checkpointing to disk is disabled: the service was "
                 "built without a checkpoint_dir")
         session = self.sessions.get(session_id)
@@ -464,7 +465,7 @@ class FineTuneService:
         # Fail fast on the one conflict a caller can do nothing about by
         # changing arguments — before paying for the family rebuild.
         if any(live.id == ckpt.session_id for live in self.sessions):
-            raise ServeError(
+            raise SessionConflict(
                 f"session {ckpt.session_id!r} is already open; close it "
                 f"before restoring a checkpoint over it")
         config = ckpt.family
@@ -896,7 +897,7 @@ class FineTuneService:
 
     def _check_open(self) -> None:
         if self._closed:
-            raise ServeError("service is closed")
+            raise ServiceClosed("service is closed")
 
     def close(self, wait: bool = True) -> None:
         self.shutdown(drain_timeout=None if wait else 0.0)

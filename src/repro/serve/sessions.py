@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
-from ..errors import ServeError
+from ..errors import ServeError, SessionConflict, UnknownSession
 from ..runtime import Executor, Program
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -262,7 +262,7 @@ class SessionManager:
                     len(self._sessions) - self.max_sessions + 1)
                 if len(self._sessions) >= self.max_sessions:
                     self._notify(evicted)
-                    raise ServeError(
+                    raise SessionConflict(
                         f"session limit {self.max_sessions} reached and "
                         f"every session is busy; close or drain one first")
             self._sessions[session_id] = session
@@ -282,7 +282,7 @@ class SessionManager:
         evicted: list[TenantSession] = []
         with self._lock:
             if session.id in self._sessions:
-                raise ServeError(
+                raise SessionConflict(
                     f"session {session.id!r} is already open; close it "
                     f"before restoring a checkpoint over it")
             if self.max_sessions is not None \
@@ -291,7 +291,7 @@ class SessionManager:
                     len(self._sessions) - self.max_sessions + 1)
                 if len(self._sessions) >= self.max_sessions:
                     self._notify(evicted)
-                    raise ServeError(
+                    raise SessionConflict(
                         f"session limit {self.max_sessions} reached and "
                         f"every session is busy; close or drain one first")
             match = _SESSION_ID_RE.match(session.id)
@@ -305,7 +305,7 @@ class SessionManager:
         with self._lock:
             session = self._sessions.get(session_id)
         if session is None:
-            raise ServeError(f"unknown session {session_id!r}")
+            raise UnknownSession(f"unknown session {session_id!r}")
         session.last_used = self._clock()
         return session
 
@@ -357,7 +357,7 @@ class SessionManager:
         with self._lock:
             session = self._sessions.pop(session_id, None)
         if session is None:
-            raise ServeError(f"unknown session {session_id!r}")
+            raise UnknownSession(f"unknown session {session_id!r}")
         return session
 
     def __len__(self) -> int:

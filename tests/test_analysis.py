@@ -73,13 +73,12 @@ class TestVerifierZeroFalsePositives:
         assert verify_plan_spec(program.plan_spec(), program) == []
 
     def test_mcunet_sparse_plan_clean(self):
-        """The hardest real plan: fusion, precompute, donations, views."""
+        """The hardest real plan: precompute, donations, views."""
         program = _mcunet_program()
         spec = program.plan_spec()
         assert verify_plan_spec(spec, program) == []
         # Make sure this plan actually exercises the interesting machinery
         # — a clean pass over a trivial plan would prove nothing.
-        assert any(i.fused for i in spec.instructions)
         assert any(i.donate_slot >= 0 for i in spec.instructions)
         assert spec.precomputed
 
@@ -102,7 +101,7 @@ class TestMutationHarness:
     def test_swapped_input_slots(self, victim):
         program, spec = victim
         idx = next(i for i, ins in enumerate(spec.instructions)
-                   if len(set(ins.input_slots)) >= 2 and not ins.fused)
+                   if len(set(ins.input_slots)) >= 2)
         swapped = tuple(reversed(spec.instructions[idx].input_slots))
         bad = _mutate_instr(spec, idx, input_slots=swapped)
         assert "input-slot-mismatch" in _rules(bad, program)
@@ -203,79 +202,6 @@ class TestMutationHarness:
         bad = _mutate_instr(spec, 0, node="no_such_node")
         with pytest.raises(PlanVerifyError, match="unknown-node"):
             check_plan(bad, program, stage="mutation harness")
-
-
-class TestTunedVariantMutations:
-    """A lying ``tuned_variants`` table must not verify: every claim in
-    it (node exists, kernel matches, the chosen variant is registered and
-    is what the instruction actually binds, costs are sane) is checked."""
-
-    @pytest.fixture(scope="class")
-    def victim(self):
-        from repro.models import build_model, paper_scheme
-
-        forward = build_model("mcunet_micro", batch=2, num_classes=3)
-        program = compile_training(
-            forward, optimizer=SGD(0.05), scheme=paper_scheme(forward),
-            options=CompileOptions(autotune="cost"))
-        spec = program.plan_spec()
-        assert spec.tuned_variants, "fixture lost its tuning decisions"
-        return program, spec
-
-    def _mutate_tuned(self, spec, idx=0, *, append=None, **changes):
-        tuned = list(spec.tuned_variants)
-        if append is not None:
-            tuned.append(append)
-        else:
-            tuned[idx] = dataclasses.replace(tuned[idx], **changes)
-        return dataclasses.replace(spec, tuned_variants=tuple(tuned))
-
-    def test_autotuned_plan_verifies_clean(self, victim):
-        program, spec = victim
-        assert verify_plan_spec(spec, program) == []
-        assert any(t.variant != "base" for t in spec.tuned_variants)
-
-    def test_unknown_node(self, victim):
-        program, spec = victim
-        bad = self._mutate_tuned(spec, node="no_such_node")
-        assert "tuned-unknown-node" in _rules(bad, program)
-
-    def test_kernel_mismatch(self, victim):
-        program, spec = victim
-        bad = self._mutate_tuned(spec, kernel="matmul")
-        assert "tuned-kernel-mismatch" in _rules(bad, program)
-
-    def test_unregistered_variant(self, victim):
-        program, spec = victim
-        bad = self._mutate_tuned(spec, variant="turbo_v2")
-        assert "tuned-unregistered-variant" in _rules(bad, program)
-
-    def test_variant_disagrees_with_instruction(self, victim):
-        """Claiming a registered variant the instruction does not bind:
-        the decision table and the stream must tell one story."""
-        program, spec = victim
-        idx = next(i for i, t in enumerate(spec.tuned_variants)
-                   if t.variant == "im2col_precomputed")
-        bad = self._mutate_tuned(spec, idx, variant="winograd_precomputed")
-        assert "tuned-variant-mismatch" in _rules(bad, program)
-
-    def test_duplicate_decision(self, victim):
-        program, spec = victim
-        bad = self._mutate_tuned(spec, append=spec.tuned_variants[0])
-        assert "tuned-duplicate" in _rules(bad, program)
-
-    def test_bad_source(self, victim):
-        program, spec = victim
-        bad = self._mutate_tuned(spec, source="vibes")
-        assert "tuned-source" in _rules(bad, program)
-
-    def test_invalid_costs(self, victim):
-        program, spec = victim
-        for changes in ({"predicted_us": float("nan")},
-                        {"predicted_us": -1.0},
-                        {"measured_us": float("nan")}):
-            bad = self._mutate_tuned(spec, **changes)
-            assert "tuned-cost-invalid" in _rules(bad, program), changes
 
 
 class TestArtifactAndCacheIntegration:

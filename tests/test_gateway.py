@@ -152,6 +152,24 @@ class TestGatewayProtocol:
                 client.session(session.id)
             assert excinfo.value.status == 404
 
+    def test_status_follows_error_type_not_message(self, monkeypatch):
+        """The gateway answers with the ServeError subclass's status: a
+        reworded message keeps its status."""
+        from repro.errors import ServiceClosed, SessionConflict, \
+            UnknownSession
+
+        with mlp_gateway() as (service, gateway, client, (session,)):
+            for cls, status in ((UnknownSession, 404),
+                                (SessionConflict, 409),
+                                (ServiceClosed, 503)):
+                def refuse(session_id, cls=cls):
+                    raise cls("reworded: nothing here to match on")
+
+                monkeypatch.setattr(service, "close_session", refuse)
+                with pytest.raises(GatewayError) as excinfo:
+                    client.close_session(session.id)
+                assert excinfo.value.status == status, cls.__name__
+
     def test_error_statuses(self):
         with mlp_gateway() as (service, gateway, client, (session,)):
             with pytest.raises(GatewayError) as excinfo:
@@ -304,6 +322,18 @@ class TestShutdown:
                                          scheme="full")
         client = ServeClient(gateway.url)
         release = stall_scheduler(service)
+        # Close only once all three requests are in: one batch running
+        # (its runner entered) and two queued. Queue depth alone also
+        # reads 2 while the first batch is still uncut and the third
+        # client has not connected yet; closing then refuses its connect.
+        running = threading.Event()
+        stalled = service.scheduler._run_batch
+
+        def run_batch(session_, batch):
+            running.set()
+            return stalled(session_, batch)
+
+        service.scheduler._run_batch = run_batch
         outcomes: list[object] = []
 
         def blocked_step():
@@ -317,7 +347,8 @@ class TestShutdown:
                    for _ in range(3)]
         for thread in threads:
             thread.start()
-        wait_until(lambda: service.scheduler.queue_depth() >= 2)
+        wait_until(lambda: running.is_set()
+                   and service.scheduler.queue_depth() >= 2)
 
         try:
             # Bounded shutdown against a stalled worker: drain times out,

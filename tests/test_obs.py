@@ -381,9 +381,7 @@ class TestInstrObserver:
         assert all(ended >= began for _, _, began, ended in events)
         variants = {variant for _, variant, _, _ in events}
         assert "base" in variants
-        # fusion is on by default: fused groups must be labeled as such
-        assert any(v == "fused" for v in variants) \
-            or len(program.plan().instructions) == len(events)
+        assert len(program.plan().instructions) == len(events)
         # uninstalled observer costs nothing and breaks nothing
         executor.instr_observer = None
         executor.run({"x": rng.standard_normal((2, 5)).astype(np.float32),

@@ -2,13 +2,11 @@
 
 Every optimization pass must be a pure lowering decision: byte-identical
 outputs and mutable state against the interpreter (and against
-``passes="none"``) for any program, under any on/off combination —
-including scalar-constant folding and the autotune variant-selection
-pass. On top of that, the structural claims: fused chains really remove
-instructions and slots, precomputed transforms really bind once per
-session, donation never hands a fused chain a buffer a later link still
-reads, autotuning is deterministic, and version-1/2 plan specs still
-load through the compat shims.
+``passes="none"``) for any program. On top of that, the structural
+claims: precomputed transforms really bind once per session, the
+default pipeline's static peak equals the unoptimized oracle's, and a
+plan spec or artifact manifest of an older version is refused (the
+program cache recompiles it) instead of being decoded through a shim.
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ import pytest
 
 from repro.errors import ExecutionError, PlanVersionError
 from repro.ir import GraphBuilder
-from repro.runtime import Executor, PlanSpec, Program, bind_plan, \
-    build_plan_spec
+from repro.runtime import Executor, PlanSpec, Program, build_plan_spec
 from repro.runtime.compiler import CompileOptions, compile_training
 from repro.runtime.passes import DEFAULT_PASSES, resolve_passes, run_pipeline
 from repro.sparse import LoRAConfig, UpdateScheme, inject_lora, lora_scheme
@@ -31,11 +28,7 @@ from repro.train import SGD
 
 from conftest import make_mlp_graph
 
-PASS_CONFIGS = ["none", "default",
-                ("fuse_elementwise",), ("precompute_frozen",),
-                ("fuse_elementwise", "fold_scalars"),
-                ("fuse_elementwise", "fold_scalars", "precompute_frozen",
-                 "autotune")]
+PASS_CONFIGS = ["none", "default"]
 
 
 def with_passes(program, passes):
@@ -144,187 +137,6 @@ class TestEquivalenceMatrix:
         assert_all_configs_equivalent(program, lambda step: feeds, steps=2)
 
 
-class TestFusionStructure:
-    def _chain_program(self):
-        b = GraphBuilder("chain")
-        x = b.input("x", (16, 16))
-        h = b.emit("relu", [x])
-        h = b.emit("tanh", [h])
-        h = b.emit("sigmoid", [h])
-        y = b.emit("reduce_sum", [h])
-        b.mark_output(y)
-        return Program.from_graph(b.graph)
-
-    def test_chain_collapses_instructions_and_slots(self):
-        program = self._chain_program()
-        fused = build_plan_spec(program, passes="default")
-        none = build_plan_spec(program, passes="none")
-        assert len(fused.instructions) < len(none.instructions)
-        assert fused.num_slots < none.num_slots
-        chain = [i for i in fused.instructions if i.fused is not None]
-        assert len(chain) == 1
-        assert [link.kernel for link in chain[0].fused] \
-            == ["relu", "tanh", "sigmoid"]
-        assert fused.passes == DEFAULT_PASSES
-        assert none.passes == ()
-
-    def test_fused_chain_runs_byte_identically(self, rng):
-        program = self._chain_program()
-        feeds = {"x": rng.standard_normal((16, 16)).astype(np.float32)}
-        ex = Executor(with_passes(program, "default"))
-        ex_int = Executor(with_passes(program, "none"),
-                          backend="interpreter")
-        for _ in range(4):  # recycled buffers carry garbage across steps
-            got = ex.run(feeds)
-            want = ex_int.run(feeds)
-            for name in want:
-                assert got[name].tobytes() == want[name].tobytes()
-
-    def test_output_values_never_fused_away(self, rng):
-        """A chain intermediate marked as a program output must
-        materialise, capping the chain."""
-        b = GraphBuilder("keepmid")
-        x = b.input("x", (8, 8))
-        h1 = b.emit("relu", [x])
-        h2 = b.emit("tanh", [h1])
-        b.mark_output(h1)
-        b.mark_output(h2)
-        program = Program.from_graph(b.graph)
-        spec = build_plan_spec(program, passes="default")
-        assert all(i.fused is None for i in spec.instructions)
-        feeds = {"x": rng.standard_normal((8, 8)).astype(np.float32)}
-        got = Executor(program).run(feeds)
-        want = Executor(Program.from_graph(b.graph),
-                        backend="interpreter").run(feeds)
-        for name in want:
-            assert got[name].tobytes() == want[name].tobytes()
-
-    def test_broadcast_into_chain_fuses(self, rng):
-        """bias_add broadcasts its bias *into* a link; the carried value
-        keeps its shape, so the chain is legal."""
-        b = GraphBuilder("bcast")
-        x = b.input("x", (4, 6))
-        bias = b.initializer("bias", np.arange(6, dtype=np.float32))
-        h = b.emit("bias_add", [x, bias], {"axis": 1})
-        h = b.emit("relu", [h])
-        y = b.emit("reduce_sum", [h])
-        b.mark_output(y)
-        program = Program.from_graph(b.graph)
-        spec = build_plan_spec(program, passes="default")
-        chain = [i for i in spec.instructions if i.fused is not None]
-        assert len(chain) == 1
-        assert [link.kernel for link in chain[0].fused] \
-            == ["bias_add", "relu"]
-        feeds = {"x": rng.standard_normal((4, 6)).astype(np.float32)}
-        got = Executor(program).run(feeds)
-        want = Executor(Program.from_graph(b.graph),
-                        backend="interpreter").run(feeds)
-        out = program.outputs[0]
-        assert got[out].tobytes() == want[out].tobytes()
-
-    def test_shape_changing_intermediate_blocks_chain(self, rng):
-        """A link whose carried value would change shape mid-chain (here
-        (6,) -> broadcast to (4, 6)) must not fuse."""
-        b = GraphBuilder("grow")
-        x = b.input("x", (4, 6))
-        v = b.input("v", (6,))
-        s = b.emit("exp", [v])          # (6,)
-        h = b.emit("add", [x, s])       # (4, 6): shape grows at this link
-        y = b.emit("reduce_sum", [h])
-        b.mark_output(y)
-        program = Program.from_graph(b.graph)
-        spec = build_plan_spec(program, passes="default")
-        assert all(i.fused is None for i in spec.instructions)
-        feeds = {"x": rng.standard_normal((4, 6)).astype(np.float32),
-                 "v": rng.standard_normal(6).astype(np.float32)}
-        got = Executor(program).run(feeds)
-        want = Executor(Program.from_graph(b.graph),
-                        backend="interpreter").run(feeds)
-        for name in want:
-            assert got[name].tobytes() == want[name].tobytes()
-
-    def test_repeated_chain_value_fuses(self, rng):
-        """mul(h, h) consumes the chain value twice — both occurrences in
-        the sole next instruction, so the chain is legal."""
-        b = GraphBuilder("square")
-        x = b.input("x", (8, 8))
-        h = b.emit("tanh", [x])
-        m = b.emit("mul", [h, h])
-        y = b.emit("reduce_sum", [m])
-        b.mark_output(y)
-        program = Program.from_graph(b.graph)
-        spec = build_plan_spec(program, passes="default")
-        chain = [i for i in spec.instructions if i.fused is not None]
-        assert len(chain) == 1
-        assert chain[0].fused[1].args == (None, None)
-        feeds = {"x": rng.standard_normal((8, 8)).astype(np.float32)}
-        ex = Executor(program)
-        ex_int = Executor(Program.from_graph(b.graph),
-                          backend="interpreter")
-        for _ in range(3):
-            got = ex.run(feeds)
-            want = ex_int.run(feeds)
-            for name in want:
-                assert got[name].tobytes() == want[name].tobytes()
-
-
-class TestDonationInterplay:
-    def test_later_link_reader_blocks_donation(self, rng):
-        """An input a *later* link still reads must never become the
-        chain's output buffer — the first link's write would clobber it."""
-        b = GraphBuilder("nodonate")
-        x = b.input("x", (32, 32))
-        t = b.emit("tanh", [x])         # materialised: two consumers below
-        r = b.emit("relu", [t])
-        m = b.emit("mul", [r, t])       # chain [relu, mul]; t read by mul
-        y = b.emit("reduce_sum", [m])
-        b.mark_output(y)
-        program = Program.from_graph(b.graph)
-        spec = build_plan_spec(program, passes="default")
-        chain = [i for i in spec.instructions if i.fused is not None]
-        assert len(chain) == 1
-        assert [link.kernel for link in chain[0].fused] == ["relu", "mul"]
-        # t dies at the fused instruction and matches the output's shape —
-        # it would be donated if the safety rule did not block it.
-        assert chain[0].donate_slot == -1
-        ex = Executor(program)
-        ex_int = Executor(Program.from_graph(b.graph),
-                          backend="interpreter")
-        feeds = {"x": rng.standard_normal((32, 32)).astype(np.float32)}
-        for _ in range(4):
-            got = ex.run(feeds)
-            want = ex_int.run(feeds)
-            for name in want:
-                assert got[name].tobytes() == want[name].tobytes()
-
-    def test_first_link_only_input_is_donated(self, rng):
-        """A dying input read only by the first link is safe to donate:
-        the chain writes over it exactly as an alias-safe out= would."""
-        b = GraphBuilder("donate")
-        x = b.input("x", (16, 16))
-        w = b.initializer(
-            "w", np.eye(16, dtype=np.float32), trainable=False)
-        p = b.matmul(x, w)              # materialised, recyclable producer
-        h = b.emit("relu", [p])
-        h = b.emit("tanh", [h])
-        y = b.emit("reduce_sum", [h])
-        b.mark_output(y)
-        program = Program.from_graph(b.graph)
-        spec = build_plan_spec(program, passes="default")
-        chain = [i for i in spec.instructions if i.fused is not None]
-        assert len(chain) == 1
-        assert chain[0].donate_slot >= 0
-        ex = Executor(program)
-        ex_int = Executor(Program.from_graph(b.graph),
-                          backend="interpreter")
-        feeds = {"x": rng.standard_normal((16, 16)).astype(np.float32)}
-        for _ in range(4):
-            got = ex.run(feeds)
-            want = ex_int.run(feeds)
-            for name in want:
-                assert got[name].tobytes() == want[name].tobytes()
-
-
 def _frozen_conv_program():
     """Training step whose 3x3 conv is frozen -> winograd + precompute."""
     from repro.frontend.keras_like import (Conv2D, Dense,
@@ -391,144 +203,21 @@ class TestPrecomputeFrozen:
         assert "winograd_precomputed" in spec.required_kernels()["conv2d"]
         assert spec.required_transforms() == {"winograd_weight"}
 
+    def test_mcunet_default_peak_equals_oracle(self):
+        """Hoisted constants are resident, not transient: the default
+        pipeline's static peak is exactly the unoptimized oracle's."""
+        default = _mcunet_sparse_program().plan_spec()
+        oracle = build_plan_spec(_mcunet_sparse_program(), passes="none")
+        assert default.precomputed
+        assert default.peak_transient_bytes == oracle.peak_transient_bytes
 
-def _mcunet_sparse_program(**option_kwargs):
+
+def _mcunet_sparse_program():
     from repro.models import build_model, paper_scheme
 
     forward = build_model("mcunet_micro", batch=2)
-    options = CompileOptions(**option_kwargs) if option_kwargs else None
     return compile_training(forward, optimizer=SGD(0.05),
-                            scheme=paper_scheme(forward), options=options)
-
-
-class TestFoldScalarsStructure:
-    def test_mcunet_folds_scalars_and_meets_instruction_budget(self):
-        """The second-wave pipeline target: non-adjacent fusion plus
-        constant folding push the MCUNet sparse step under 99
-        instructions, with scalar hyperparameters spliced as const args
-        instead of occupying slots."""
-        spec = _mcunet_sparse_program().plan_spec()
-        assert len(spec.instructions) < 99
-        folded = sum(len(i.const_args) for i in spec.instructions)
-        assert folded > 0
-        const_names = {name for i in spec.instructions
-                       for _, name in i.const_args}
-        bound_names = {name for _, name in spec.state_bindings}
-        # A folded-only scalar holds no slot; nothing is double-bound.
-        assert not (const_names & bound_names)
-
-    def test_non_adjacent_fusion_keeps_oracle_peak(self):
-        """Deferred-consumer merges must stay byte-neutral: the default
-        pipeline's peak transient never exceeds the unoptimized plan's."""
-        tuned = _mcunet_sparse_program().plan_spec()
-        oracle = build_plan_spec(_mcunet_sparse_program(), passes="none")
-        assert tuned.peak_transient_bytes <= oracle.peak_transient_bytes
-
-
-class TestAutotune:
-    def test_cost_mode_is_deterministic(self):
-        """Same program, same options -> byte-identical PlanSpec JSON,
-        compile after compile (no wall-clock in the ranking)."""
-        docs = []
-        for _ in range(2):
-            spec = _mcunet_sparse_program(autotune="cost").plan_spec()
-            docs.append(json.dumps(spec.to_dict(), sort_keys=True))
-        assert docs[0] == docs[1]
-        spec = PlanSpec.from_dict(json.loads(docs[0]))
-        assert spec.tuned_variants
-        assert all(t.source == "cost" for t in spec.tuned_variants)
-        assert all(t.predicted_us >= 0 for t in spec.tuned_variants)
-        assert "autotune" in spec.passes
-
-    def test_cost_mode_byte_exact_vs_oracle(self, rng):
-        program = _mcunet_sparse_program(autotune="cost")
-        oracle = _mcunet_sparse_program()
-        name = [n for n in program.graph.inputs
-                if n != program.meta["labels"]][0]
-        feeds = {name: rng.standard_normal(
-            program.graph.spec(name).shape).astype(np.float32),
-                 program.meta["labels"]: np.array([1, 2], np.int64)}
-        ex = Executor(program)
-        ex_int = Executor(with_passes(oracle, "none"),
-                          backend="interpreter")
-        for _ in range(3):
-            got = ex.run(feeds)
-            want = ex_int.run(feeds)
-            for key in want:
-                assert got[key].tobytes() == want[key].tobytes()
-        for key in ex_int.program.state:
-            assert ex.program.state[key].tobytes() \
-                == ex_int.program.state[key].tobytes()
-
-    def test_measure_mode_byte_exact_and_caches_benchmarks(self, rng):
-        from repro.runtime.passes.autotune import (clear_measure_cache,
-                                                   measure_cache_stats)
-
-        clear_measure_cache()
-        program = _mcunet_sparse_program(autotune="measure")
-        spec = program.plan_spec()
-        assert spec.tuned_variants
-        assert all(t.source == "measure" for t in spec.tuned_variants)
-        assert all(t.measured_us is not None and t.measured_us >= 0
-                   for t in spec.tuned_variants)
-        entries = measure_cache_stats()["entries"]
-        assert entries > 0
-        # Repeat compile: every (op, variant, shapes, dtype) timing is
-        # served from the cache — no new microbenchmarks run.
-        _mcunet_sparse_program(autotune="measure").plan_spec()
-        assert measure_cache_stats()["entries"] == entries
-
-        name = [n for n in program.graph.inputs
-                if n != program.meta["labels"]][0]
-        feeds = {name: rng.standard_normal(
-            program.graph.spec(name).shape).astype(np.float32),
-                 program.meta["labels"]: np.array([0, 1], np.int64)}
-        got = Executor(program).run(feeds)
-        want = Executor(with_passes(_mcunet_sparse_program(), "none"),
-                        backend="interpreter").run(feeds)
-        for key in want:
-            assert got[key].tobytes() == want[key].tobytes()
-
-    def test_none_pipeline_is_never_tuned(self):
-        """``passes="none"`` stays the untouched byte-exactness oracle
-        even when the compile asks for autotuning."""
-        program = _mcunet_sparse_program(autotune="cost",
-                                         plan_passes="none")
-        spec = program.plan_spec()
-        assert spec.passes == ()
-        assert spec.tuned_variants == ()
-        assert spec.precomputed == ()
-        assert all(i.fused is None and not i.const_args
-                   for i in spec.instructions)
-
-    def test_autotune_separates_program_keys(self):
-        from repro.serve.keys import program_key
-        from repro.models import build_model, paper_scheme
-
-        forward = build_model("mcunet_micro", batch=2)
-        base = dict(scheme=paper_scheme(forward), optimizer=SGD(0.05))
-        k_plain = program_key(forward, options=CompileOptions(), **base)
-        k_tuned = program_key(
-            forward, options=CompileOptions(autotune="cost"), **base)
-        k_device = program_key(
-            forward, options=CompileOptions(autotune="cost",
-                                            autotune_device="jetson_nano"),
-            **base)
-        assert len({k_plain, k_tuned, k_device}) == 3
-
-    def test_tuned_variants_reach_manifest_and_probe(self, tmp_path):
-        from repro.deploy import load_artifact, save_artifact
-
-        program = _mcunet_sparse_program(autotune="cost")
-        spec = program.plan_spec()
-        save_artifact(program, tmp_path / "tuned")
-        manifest = json.loads(
-            (tmp_path / "tuned" / "manifest.json").read_text())
-        assert manifest["tuned_variants"] \
-            == {t.node: t.variant for t in spec.tuned_variants}
-        deployed = load_artifact(tmp_path / "tuned")
-        assert deployed.program.plan_spec().tuned_variants \
-            == spec.tuned_variants
+                            scheme=paper_scheme(forward))
 
 
 class TestPretransposedMatmul:
@@ -562,109 +251,17 @@ class TestPretransposedMatmul:
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes()
 
-    def test_cost_model_keeps_the_variant(self, rng):
-        """The strided-GEMM penalty on base trans_b matmuls makes the
-        pretransposed variant win the cost ranking."""
-        program = self._trans_b_program(rng)
-        spec = build_plan_spec(
-            program, passes=("precompute_frozen", "autotune"))
-        tuned = {t.node: t for t in spec.tuned_variants}
-        assert len(tuned) == 1
-        (entry,) = tuned.values()
-        assert entry.kernel == "matmul"
-        assert entry.variant == "pretransposed_b"
-
-
 class TestSpecCompatAndConfig:
-    def test_v1_spec_loads_through_shim(self, rng):
-        b, _ = make_mlp_graph(seed=29)
-        program = compile_training(b.graph, optimizer=SGD(0.1))
-        doc = build_plan_spec(program, passes="none").to_dict()
-        # Regress the document to what a v1 writer produced.
-        doc["plan_version"] = 1
-        del doc["passes"]
-        del doc["precomputed"]
-        del doc["precomputed_bytes"]
-        for instr in doc["instructions"]:
-            assert "fused" not in instr
-        spec = PlanSpec.from_dict(json.loads(json.dumps(doc)))
-        assert spec.passes == ()
-        assert spec.precomputed == ()
-        plan = bind_plan(spec, {n.name: n for n in program.schedule})
-        clone = with_passes(program, "none")
-        clone.attach_plan_spec(spec)
-        clone.meta["__plan__"] = plan
-        feeds = {"x": rng.standard_normal((4, 5)).astype(np.float32),
-                 program.meta["labels"]: np.array([0, 1, 2, 0], np.int64)}
-        got = Executor(clone).run(feeds)
-        want = Executor(with_passes(program, "none"),
-                        backend="interpreter").run(feeds)
-        for name in want:
-            assert got[name].tobytes() == want[name].tobytes()
-
-    def test_v2_spec_loads_through_shim(self, rng):
-        """A v2 writer keyed the arena on exact shapes and knew nothing
-        of const_args or tuned_variants; the shim byte-buckets every key
-        (merging caps that collapse onto one bucket) and the spec runs."""
-        b, _ = make_mlp_graph(seed=31)
-        program = compile_training(
-            b.graph, optimizer=SGD(0.1),
-            options=CompileOptions(
-                plan_passes=("fuse_elementwise", "precompute_frozen")))
-        v3 = program.plan_spec()
-        doc = v3.to_dict()
-        doc["plan_version"] = 2
-        del doc["tuned_variants"]
-        for instr in doc["instructions"]:
-            assert "const_args" not in instr  # v2 pipeline: none folded
-
-        def as_shape_key(key_doc):
-            if key_doc is None:
-                return None
-            nbytes, dtype = key_doc
-            itemsize = np.dtype(dtype).itemsize
-            return [[nbytes // itemsize], dtype]  # flat exact-shape key
-
-        doc["arena_caps"] = [[as_shape_key(key), count]
-                             for key, count in doc["arena_caps"]]
-        for instr in doc["instructions"]:
-            instr["frees"] = [[slot, as_shape_key(key)]
-                              for slot, key in instr["frees"]]
-        spec = PlanSpec.from_dict(json.loads(json.dumps(doc)))
-        assert spec.arena_caps == v3.arena_caps
-        assert spec.instructions == v3.instructions
-        assert spec.tuned_variants == ()
-
-        clone = with_passes(program, "none")
-        clone.attach_plan_spec(spec)
-        clone.meta["__plan__"] = bind_plan(
-            spec, {n.name: n for n in program.schedule})
-        feeds = {"x": rng.standard_normal((4, 5)).astype(np.float32),
-                 program.meta["labels"]: np.array([0, 1, 2, 0], np.int64)}
-        got = Executor(clone).run(feeds)
-        want = Executor(with_passes(program, "none"),
-                        backend="interpreter").run(feeds)
-        for name in want:
-            assert got[name].tobytes() == want[name].tobytes()
-
-    def test_v2_colliding_shape_keys_merge_caps(self):
-        """Two exact-shape caps that bucket to the same byte size must
-        merge by summing counts — reuse only ever widens."""
+    def test_v3_spec_raises_plan_version_error(self):
+        """A document from the previous spec version is refused, not
+        decoded through a shim: the caller recompiles instead."""
         b, _ = make_mlp_graph()
         program = compile_training(b.graph, optimizer=SGD(0.1))
-        doc = build_plan_spec(program, passes="none").to_dict()
-        doc["plan_version"] = 2
-        doc.pop("tuned_variants", None)
-        for instr in doc["instructions"]:
-            instr["frees"] = [
-                [slot, None if key is None
-                 else [[key[0] // np.dtype(key[1]).itemsize], key[1]]]
-                for slot, key in instr["frees"]]
-        # (8, 2) float32 and (4, 4) float32 are both 64-byte buckets.
-        doc["arena_caps"] = [[[[8, 2], "float32"], 2],
-                             [[[4, 4], "float32"], 3]]
-        spec = PlanSpec.from_dict(json.loads(json.dumps(doc)))
-        assert dict(spec.arena_caps)[(64, np.dtype("float32"))] == 5
+        doc = build_plan_spec(program).to_dict()
+        doc["plan_version"] = 3
+        doc["tuned_variants"] = []
+        with pytest.raises(PlanVersionError):
+            PlanSpec.from_dict(json.loads(json.dumps(doc)))
 
     def test_unsupported_version_raises_plan_version_error(self):
         b, _ = make_mlp_graph()
@@ -685,7 +282,8 @@ class TestSpecCompatAndConfig:
         assert resolve_passes(None) == DEFAULT_PASSES
         assert resolve_passes("default") == DEFAULT_PASSES
         assert resolve_passes("none") == ()
-        assert resolve_passes(["fuse_elementwise"]) == ("fuse_elementwise",)
+        assert resolve_passes(["precompute_frozen"]) \
+            == ("precompute_frozen",)
 
     def test_compile_options_plumb_passes(self):
         b, _ = make_mlp_graph()
@@ -701,8 +299,7 @@ class TestSpecCompatAndConfig:
         report: dict = {}
         run_pipeline(program, passes="default", report=report)
         stages = [s["stage"] for s in report["stages"]]
-        assert stages == ["lower", "fuse_elementwise", "fold_scalars",
-                          "precompute_frozen", "allocate"]
+        assert stages == ["lower", "precompute_frozen", "allocate"]
         counts = [s["instructions"] for s in report["stages"]]
         assert counts[-1] <= counts[0]
 
@@ -721,10 +318,9 @@ class TestSpecCompatAndConfig:
 
 
 class TestArtifactRoundTripOptimized:
-    def test_fused_and_precomputed_plan_survives_artifact(self, tmp_path,
-                                                          rng):
-        """MCUNet sparse — the paper workload — exercises both passes at
-        once through a full save/load/execute cycle."""
+    def test_precomputed_plan_survives_artifact(self, tmp_path, rng):
+        """MCUNet sparse — the paper workload — through a full
+        save/load/execute cycle with its hoisted constants."""
         from repro.deploy import load_artifact, save_artifact
         from repro.models import build_model, paper_scheme
 
@@ -732,8 +328,7 @@ class TestArtifactRoundTripOptimized:
         program = compile_training(forward, optimizer=SGD(0.05),
                                    scheme=paper_scheme(forward))
         spec = program.plan_spec()
-        assert spec.precomputed and any(
-            i.fused is not None for i in spec.instructions)
+        assert spec.precomputed
         save_artifact(program, tmp_path / "model")
         manifest = json.loads(
             (tmp_path / "model" / "manifest.json").read_text())

@@ -1,5 +1,5 @@
-"""Portable execution plans: spec round-trips, artifact v2, fresh-process
-loads.
+"""Portable execution plans: spec round-trips, artifact v2, version
+cut-over, fresh-process loads.
 
 The tentpole invariant: a plan serialized into a deployment artifact and
 reloaded — in this process or a fresh one — executes byte-identically to
@@ -153,8 +153,10 @@ class TestArtifactPlanRoundTrip:
         assert manifest["plan"]["instructions"]
         assert manifest["kernel_variants"]
 
-    def test_v1_manifest_still_loads(self, tmp_path, rng):
-        """Backward compat: pre-plan artifacts lower their plan locally."""
+    def test_v1_manifest_raises_graph_error(self, tmp_path):
+        """Manifest v1 (no embedded plan) no longer loads: every artifact
+        is written by this repository, so there is no old writer left to
+        stay compatible with."""
         program = _mlp_program()
         save_artifact(program, tmp_path / "mlp")
         path = tmp_path / "mlp" / "manifest.json"
@@ -163,13 +165,31 @@ class TestArtifactPlanRoundTrip:
         del manifest["plan"]
         del manifest["kernel_variants"]
         path.write_text(json.dumps(manifest))
-        deployed = load_artifact(tmp_path / "mlp")
-        assert deployed.program.meta.get("__plan__") is None  # lazy
-        feeds = _mlp_feeds(program, rng)
-        want = Executor(program).run(feeds)
-        got = deployed.run(dict(feeds))
-        loss = program.meta["loss"]
-        assert want[loss].tobytes() == got[loss].tobytes()
+        with pytest.raises(GraphError, match="unsupported artifact version"):
+            load_artifact(tmp_path / "mlp")
+
+    def test_v3_era_artifact_recompiles_in_cache(self, tmp_path):
+        """A cached artifact whose plan is spec v3 (with its tuning table)
+        is a counted version miss: the cache recompiles and overwrites
+        it rather than decoding the old layout."""
+        from repro.runtime.plan import PLAN_SPEC_VERSION
+        from repro.serve import ProgramCache
+
+        ProgramCache(capacity=2, cache_dir=tmp_path).get_or_build(
+            "k1", _mlp_program)
+        path = tmp_path / "k1" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["plan"]["plan_version"] = 3
+        manifest["plan"]["tuned_variants"] = []
+        manifest["tuned_variants"] = {}
+        path.write_text(json.dumps(manifest))
+        cache = ProgramCache(capacity=2, cache_dir=tmp_path)
+        entry = cache.get_or_build("k1", _mlp_program)
+        assert not entry.from_disk
+        assert cache.stats.compiles == 1
+        assert cache.stats.plan_version_miss == 1
+        assert json.loads(path.read_text())["plan"]["plan_version"] \
+            == PLAN_SPEC_VERSION
 
     def test_corrupted_plan_rejected(self, tmp_path):
         """A tampered plan is caught by the static verifier before binding.

@@ -31,9 +31,7 @@ def feeds(program, rng):
 class TestMeasuredProfile:
     def test_one_timing_per_plan_instruction(self, program, feeds):
         """The profiler measures the stream that actually executes: one
-        timing per plan instruction (a fused elementwise chain reports as
-        its final node), so fused plans emit fewer events than the
-        schedule has nodes."""
+        timing per plan instruction, in stream order."""
         profile = profile_run(program, feeds, warmup=0, repeats=1)
         plan = program.plan()
         assert len(profile.timings) == plan.num_instructions
@@ -115,10 +113,7 @@ class TestChromeTrace:
         assert all("dur" in e and "ts" in e for e in events)
 
     def test_trace_categories_are_op_types(self, program, feeds):
-        """Every trace category is a schedule op_type. Not every op_type
-        appears: a fused chain reports as its final node, so interior
-        link categories (e.g. a mask `step` merged into its consumer)
-        are subsumed by the chain tail's."""
+        """Every trace category is the op_type of a plan instruction."""
         profile = profile_run(program, feeds, warmup=0, repeats=1)
         doc = profile.to_chrome_trace()
         cats = {e["cat"] for e in doc["traceEvents"]}

@@ -146,9 +146,8 @@ def test_pruned_equals_masked_on_shared_params(scheme_updates):
 @given(st.integers(0, 1000))
 @settings(max_examples=15, deadline=None)
 def test_executor_peak_matches_profiler_on_random_graphs(seed):
-    """The interpreter (and the unoptimized plan) replicate the analytic
-    profiler byte-exactly; the optimized plan's recomputed peak can only
-    be lower — fused chains drop intermediates the profiler still sees."""
+    """The interpreter, the unoptimized plan, and the default plan all
+    replicate the analytic profiler's peak byte-exactly."""
     from repro.runtime import build_plan_spec
 
     graph, feed = random_dag(seed)
@@ -162,7 +161,7 @@ def test_executor_peak_matches_profiler_on_random_graphs(seed):
         == profile.peak_transient_bytes
     ex_plan = Executor(program)
     ex_plan.run({"x": feed})
-    assert ex_plan.peak_transient_bytes <= profile.peak_transient_bytes
+    assert ex_plan.peak_transient_bytes == profile.peak_transient_bytes
 
 
 @given(st.integers(0, 1000))

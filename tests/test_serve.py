@@ -580,6 +580,57 @@ class TestSchedulerLifecycle:
                                    workers=workers, metrics=metrics)
         return scheduler, release
 
+    def test_ack_sees_session_quiescent(self):
+        """An ack means the session is quiescent: a done-callback, which
+        runs the moment the future resolves, must already see
+        ``pending()`` false — otherwise a client holding its ack can get
+        a 409 from close_session."""
+        scheduler, release = self._stalled_scheduler()
+        seen = []
+        try:
+            future = scheduler.submit(self.StubSession("s"), np.int64(0),
+                                      np.int64(0))
+            future.add_done_callback(
+                lambda _: seen.append(scheduler.pending("s")))
+            release.set()
+            future.result(timeout=30)
+        finally:
+            scheduler.close()
+        assert seen == [False]
+
+    def test_acks_quiescent_and_drain_settles_under_load(self):
+        """Stress: one request per session across more workers than
+        cores, with a tiny switch interval. Every ack must see its
+        session quiescent, and drain() may return only once every future
+        has been settled."""
+        import sys
+
+        from repro.serve import BatchScheduler, StepResult
+
+        def runner(session, batch):
+            return StepResult(session_id=session.id, loss=0.0, step=0,
+                              batch_size=len(batch), program_key="k")
+
+        seen: list[bool] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        scheduler = BatchScheduler(runner, max_batch=2, workers=8)
+        try:
+            futures = []
+            for i in range(200):
+                sid = f"s{i}"
+                future = scheduler.submit(self.StubSession(sid),
+                                          np.int64(0), np.int64(0))
+                future.add_done_callback(
+                    lambda _, sid=sid: seen.append(scheduler.pending(sid)))
+                futures.append(future)
+            assert scheduler.drain(timeout=30)
+            assert all(future.done() for future in futures)
+        finally:
+            sys.setswitchinterval(interval)
+            scheduler.close()
+        assert len(seen) == 200 and not any(seen)
+
     def test_queue_depth_gauge_is_live(self):
         """Regression: the gauge must sample live queues on every read,
         not the depth at the last metrics render."""
